@@ -22,49 +22,12 @@ import numpy as np
 
 from .gfalgebra import AffineMap, Matrix, field_ops
 from .groups import DEFAULT_GROUP_CAP, AmbientAutomorphisms, GeneratedGroup, closure
-from .permcore import Permutation, render_cycles
-
-
-def orbit_partition(images: Sequence[int]) -> list[list[int]]:
-    """Orbits of the cyclic group generated by an image array.
-
-    Orbits are listed by their smallest member, each starting at that member
-    and walking forward, so the output is deterministic.
-    """
-    n = len(images)
-    seen = bytearray(n)
-    orbits = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        orbit = [start]
-        x = int(images[start])
-        while x != start:
-            seen[x] = 1
-            orbit.append(x)
-            x = int(images[x])
-        orbits.append(orbit)
-    return orbits
+from .permcore import Permutation, orbit_partition, render_cycles
 
 
 def orbit_lengths(images: Sequence[int]) -> list[int]:
-    """Orbit sizes in smallest-member order, without storing the orbits."""
-    n = len(images)
-    seen = bytearray(n)
-    lengths = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        size = 1
-        x = int(images[start])
-        while x != start:
-            seen[x] = 1
-            size += 1
-            x = int(images[x])
-        lengths.append(size)
-    return lengths
+    """Orbit sizes in smallest-member order."""
+    return [len(orbit) for orbit in orbit_partition(images)]
 
 
 def images_order(images: Sequence[int]) -> int:

@@ -1,9 +1,9 @@
 """Command-line front end: decisions, verification suites, scans, tables.
 
 Output on stdout is machine-readable (JSON or TSV) and byte-identical for a
-fixed seed and configuration regardless of thread count; progress summaries
-go to stderr. Exit codes: 0 success, 1 assertion or suite failure, 2 usage
-or parse error, 3 resource cap exceeded.
+fixed seed and configuration; progress summaries go to stderr. Exit codes:
+0 success, 1 assertion or suite failure, 2 usage or parse error, 3 resource
+cap exceeded.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .regular import DomainCapError, decide
 from .verify import (
     RunConfig,
     SUITES,
-    _parallel_map,
     run_suite,
     scan_ksets,
     scan_partitions,
@@ -230,10 +229,6 @@ def _parse_diagonal_element(ctx: GroupContext, text: str) -> DiagonalElement:
     return DiagonalElement(sigma, phi, m)
 
 
-def _is_even(g: Permutation) -> bool:
-    return sum(len(c) - 1 for c in g.cycles()) % 2 == 0
-
-
 def contains(ctx: GroupContext, g) -> bool:
     if ctx.kind == "sym":
         return isinstance(g, Permutation) and g.degree == ctx.degree
@@ -241,7 +236,7 @@ def contains(ctx: GroupContext, g) -> bool:
         return (
             isinstance(g, Permutation)
             and g.degree == ctx.degree
-            and _is_even(g)
+            and g.is_even()
         )
     if ctx.kind in ("gl", "agl"):
         return True  # validated during parsing
@@ -257,15 +252,22 @@ def contains(ctx: GroupContext, g) -> bool:
 
 
 def parse_action(text: str, ctx: GroupContext, config: RunConfig):
+    """Build the action named by text; every malformed spec is a SpecError."""
+    try:
+        return _build_action(text, ctx, config)
+    except SpecError:
+        raise
+    except ValueError as exc:
+        raise SpecError(f"{text!r}: {exc}") from None
+
+
+def _build_action(text: str, ctx: GroupContext, config: RunConfig):
     head, _, rest = text.partition(":")
     perm_like = ctx.kind in ("sym", "alt", "pgl2", "psl2", "m10", "pgammal2")
     if text == "natural" and perm_like:
         return NaturalAction(ctx.degree)
     if head == "ksets" and perm_like:
-        k = _int(rest, text)
-        if not 0 <= k <= ctx.degree:
-            raise SpecError(f"k must be in 0..{ctx.degree}")
-        return KSetsAction(ctx.degree, k)
+        return KSetsAction(ctx.degree, _int(rest, text))
     if head == "partitions" and perm_like:
         a, b = _int_pair(rest, "x", text)
         if a * b != ctx.degree:
@@ -317,10 +319,7 @@ def _parse_cosets(rest: str, ctx: GroupContext, config: RunConfig):
         sub = set_stabilizer(group, (i, j))
     else:
         raise SpecError(f"unknown coset spec {rest!r}")
-    try:
-        return CosetsAction(group, sub, label=rest)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
+    return CosetsAction(group, sub, label=rest)
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +395,8 @@ def cmd_scan(args, config: RunConfig) -> int:
         lo, hi = _parse_range(args.m)
         if lo < 2 * k:
             raise SpecError(f"need m >= 2k = {2 * k}")
-        span = list(range(lo, hi + 1))
-        blocks = _parallel_map(lambda m: scan_ksets(m, k), span, config.threads)
-        for m, rows in zip(span, blocks):
-            for row in rows:
+        for m in range(lo, hi + 1):
+            for row in scan_ksets(m, k):
                 print(
                     f"{m}\tksets:{k}\t{_format_type(row.parts)}\t"
                     f"{row.order}\t{row.covering_size}\t{row.note}"
@@ -424,13 +421,9 @@ def cmd_bounds(args, config: RunConfig) -> int:
     lo, hi = _parse_range(args.m) if args.m else (47, 200)
     if lo < 3:
         raise SpecError("bounds table starts at m = 3")
-    span = list(range(lo, hi + 1))
-    rows = _parallel_map(
-        lambda m: bounds_mod.alpha_beta_row(m), span, config.threads
-    )
     print("m\tn_value\talpha\tbeta\tproduct\tverdict")
     failures = 0
-    for row in rows:
+    for row in map(bounds_mod.alpha_beta_row, range(lo, hi + 1)):
         beta = math.exp(row.log_beta_high)
         product = math.exp(row.product_log_high)
         print(
@@ -459,7 +452,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, output_default: str) -> None:
         p.add_argument("--output", choices=("json", "tsv"), default=output_default)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--cap", type=int, default=10**7,
                        help="domain size cap for full enumeration")
@@ -507,7 +499,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             domain_cap=args.cap,
             seed=args.seed,
             output=args.output,
-            threads=args.threads,
         )
     except ValueError as exc:
         print(f"regcycle: {exc}", file=sys.stderr)

@@ -228,13 +228,21 @@ def m10(cap: int = DEFAULT_GROUP_CAP) -> GeneratedGroup:
 # --- subgroups by stabilized structure ------------------------------------------
 
 
+def _check_points(group: GeneratedGroup, points: Sequence[int]) -> None:
+    for p in points:
+        if not 1 <= p <= group.degree:
+            raise ValueError("point %d out of range 1..%d" % (p, group.degree))
+
+
 def point_stabilizer(group: GeneratedGroup, point: int) -> GeneratedGroup:
     """Stabilizer of a 1-indexed point, as a generated group (full filter)."""
+    _check_points(group, (point,))
     members = [g for g in group.elements if g.images[point - 1] == point - 1]
     return GeneratedGroup(group.degree, tuple(members), tuple(members))
 
 def set_stabilizer(group: GeneratedGroup, points: Sequence[int]) -> GeneratedGroup:
     """Setwise stabilizer of a set of 1-indexed points."""
+    _check_points(group, points)
     target = set(p - 1 for p in points)
     members = [g for g in group.elements if {g.images[p] for p in target} == target]
     return GeneratedGroup(group.degree, tuple(members), tuple(members))

@@ -12,6 +12,7 @@ Conventions shared across the package:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -104,28 +105,17 @@ class Permutation:
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Cycle decomposition, 0-indexed, each cycle starting at its least point."""
-        seen = [False] * self.degree
-        out: list[tuple[int, ...]] = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            v = self.images[start]
-            while v != start:
-                seen[v] = True
-                cyc.append(v)
-                v = self.images[v]
-            if len(cyc) > 1 or include_fixed:
-                out.append(tuple(cyc))
-        return out
+        return [
+            tuple(orbit)
+            for orbit in orbit_partition(self.images)
+            if include_fixed or len(orbit) > 1
+        ]
 
     def cycle_type(self) -> "CycleType":
         return CycleType.from_permutation(self)
 
     def order(self) -> int:
-        lengths = [len(c) for c in self.cycles(include_fixed=False)]
-        return math.lcm(*lengths) if lengths else 1
+        return math.lcm(*(len(c) for c in self.cycles(include_fixed=False)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -144,6 +134,32 @@ class Permutation:
 
     def __str__(self) -> str:
         return render_cycles(self)
+
+
+def orbit_partition(images: Sequence[int]) -> list[list[int]]:
+    """Orbits of the cyclic group generated by an image array.
+
+    Orbits are listed by their smallest member, each starting at that member
+    and walking forward, so the output is deterministic. This is the one
+    orbit walk over an image array; a list, a tuple or an ndarray is
+    accepted, and an ndarray is converted to Python ints once up front.
+    """
+    if isinstance(images, np.ndarray):
+        images = images.tolist()
+    seen = bytearray(len(images))
+    orbits = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        orbit = [start]
+        x = images[start]
+        while x != start:
+            seen[x] = 1
+            orbit.append(x)
+            x = images[x]
+        orbits.append(orbit)
+    return orbits
 
 
 @dataclass(frozen=True)
@@ -249,24 +265,28 @@ def _spf_table() -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _sieved_primes() -> tuple[int, ...]:
+    """Every prime up to SIEVE_LIMIT, ascending; the only cached prime list."""
+    spf = _spf_table()
+    idx = np.arange(SIEVE_LIMIT + 1)
+    return tuple(idx[(spf == idx) & (idx >= 2)].tolist())
+
+
 def primes_upto(limit: int) -> tuple[int, ...]:
     if limit > SIEVE_LIMIT:
         raise ValueError("sieve limit is %d" % SIEVE_LIMIT)
-    spf = _spf_table()
-    idx = np.arange(2, limit + 1)
-    return tuple(int(v) for v in idx[spf[2 : limit + 1] == idx])
+    primes = _sieved_primes()
+    return primes[: bisect_right(primes, limit)]
 
 
 def first_primes(count: int) -> tuple[int, ...]:
     """The first ``count`` primes."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    limit = 30
-    while True:
-        ps = primes_upto(limit)
-        if len(ps) >= count:
-            return ps[:count]
-        limit *= 4
+    primes = _sieved_primes()
+    if count > len(primes):
+        raise ValueError("sieve limit is %d" % SIEVE_LIMIT)
+    return primes[:count]
 
 
 @dataclass(frozen=True)

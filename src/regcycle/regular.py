@@ -38,6 +38,7 @@ from .actions import (
     images_order,
     iter_uniform_partitions,
     orbit_lengths,
+    orbit_partition,
     power_images,
 )
 from .gfalgebra import AffineMap, Matrix, SemilinearMap, matrix_rank
@@ -81,6 +82,8 @@ def render_element(g) -> str:
     """Canonical one-line text form of a group element, for reports."""
     if isinstance(g, Permutation):
         return render_cycles(g)
+    if isinstance(g, CycleType):
+        return "type:[" + ",".join(str(v) for v in g.parts) + "]"
     if isinstance(g, WreathElement):
         comps = "|".join(render_cycles(c) for c in g.components)
         return f"{comps}@{render_cycles(g.top)}"
@@ -139,6 +142,30 @@ class Verdict:
         }
 
 
+def _verdict(
+    action: Action,
+    g,
+    method: str,
+    order: int,
+    induced: int,
+    regular: bool,
+    witness=None,
+    flags: tuple[str, ...] = (),
+) -> Verdict:
+    """The one way a decider builds its certified Verdict for g on action."""
+    return Verdict(
+        group_order_of_g=order,
+        induced_order=induced,
+        has_regular_cycle=regular,
+        witness=witness,
+        method=method,
+        certified=True,
+        flags=flags,
+        element_text=render_element(g),
+        action_name=action.name,
+    )
+
+
 def certify_orbit(action: Action, g, start_idx: int, expected: int) -> None:
     """Walk the orbit of start_idx and assert its length is `expected`."""
     cur = action.apply(g, start_idx)
@@ -160,37 +187,13 @@ def decide_bruteforce(action: Action, g) -> Verdict:
     point order) whose orbit is regular. Always certified.
     """
     order = action.element_order(g)
-    images = action.induced_images(g)
-    n = action.size
-    seen = bytearray(n)
-    witness_idx: Optional[int] = None
-    induced = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        cur = start
-        while not seen[cur]:
-            seen[cur] = 1
-            cur = images[cur]
-            length += 1
-        induced = induced * length // math.gcd(induced, length)
-        if length == order and witness_idx is None:
-            witness_idx = start
-    flags: tuple[str, ...] = ()
-    if induced < order:
-        flags = ("unfaithful",)
+    orbits = orbit_partition(action.induced_images(g))
+    induced = math.lcm(*{len(orbit) for orbit in orbits})
+    witness_idx = next((orbit[0] for orbit in orbits if len(orbit) == order), None)
+    flags = ("unfaithful",) if induced < order else ()
     witness = action.point_json(witness_idx) if witness_idx is not None else None
-    return Verdict(
-        group_order_of_g=order,
-        induced_order=induced,
-        has_regular_cycle=witness_idx is not None,
-        witness=witness,
-        method="bruteforce",
-        certified=True,
-        flags=flags,
-        element_text=render_element(g),
-        action_name=action.name,
+    return _verdict(
+        action, g, "bruteforce", order, induced, witness_idx is not None, witness, flags
     )
 
 
@@ -203,22 +206,13 @@ def decide_fix_union(action: Action, g) -> Verdict:
     on every point.
     """
     order = action.element_order(g)
-    et = render_element(g)
     if order == 1:
-        return Verdict(
-            group_order_of_g=1,
-            induced_order=1,
-            has_regular_cycle=True,
-            witness=action.point_json(0),
-            method="fix_union",
-            certified=True,
-            flags=("identity",),
-            element_text=et,
-            action_name=action.name,
+        return _verdict(
+            action, g, "fix_union", 1, 1, True, action.point_json(0), ("identity",)
         )
     images = np.asarray(action.induced_images(g), dtype=np.int64)
     n = action.size
-    induced = images_order(images.tolist())
+    induced = images_order(images)
     covered = np.zeros(n, dtype=bool)
     idx = np.arange(n, dtype=np.int64)
     for p in factorize(order).primes:
@@ -229,30 +223,11 @@ def decide_fix_union(action: Action, g) -> Verdict:
         flags = ("unfaithful",)
     uncovered = np.flatnonzero(~covered)
     if uncovered.size == 0:
-        return Verdict(
-            group_order_of_g=order,
-            induced_order=induced,
-            has_regular_cycle=False,
-            witness=None,
-            method="fix_union",
-            certified=True,
-            flags=flags,
-            element_text=et,
-            action_name=action.name,
-        )
+        return _verdict(action, g, "fix_union", order, induced, False, None, flags)
     witness_idx = int(uncovered[0])
     certify_orbit(action, g, witness_idx, order)
-    return Verdict(
-        group_order_of_g=order,
-        induced_order=induced,
-        has_regular_cycle=True,
-        witness=action.point_json(witness_idx),
-        method="fix_union",
-        certified=True,
-        flags=flags,
-        element_text=et,
-        action_name=action.name,
-    )
+    witness = action.point_json(witness_idx)
+    return _verdict(action, g, "fix_union", order, induced, True, witness, flags)
 
 
 @dataclass(frozen=True)
@@ -271,18 +246,9 @@ class FprSumResult:
 
 def fpr_sum_sufficient(action: Action, g) -> FprSumResult:
     order = action.element_order(g)
-    et = render_element(g)
     if order == 1:
-        verdict = Verdict(
-            group_order_of_g=1,
-            induced_order=1,
-            has_regular_cycle=True,
-            witness=None,
-            method="fpr_sum_sufficient",
-            certified=True,
-            flags=("identity",),
-            element_text=et,
-            action_name=action.name,
+        verdict = _verdict(
+            action, g, "fpr_sum_sufficient", 1, 1, True, flags=("identity",)
         )
         return FprSumResult(Fraction(0), (), verdict)
     images = action.induced_images(g)
@@ -297,17 +263,7 @@ def fpr_sum_sufficient(action: Action, g) -> FprSumResult:
         total += ratio
     if total >= 1:
         return FprSumResult(total, tuple(terms), None)
-    verdict = Verdict(
-        group_order_of_g=order,
-        induced_order=induced,
-        has_regular_cycle=True,
-        witness=None,
-        method="fpr_sum_sufficient",
-        certified=True,
-        flags=(),
-        element_text=et,
-        action_name=action.name,
-    )
+    verdict = _verdict(action, g, "fpr_sum_sufficient", order, induced, True)
     return FprSumResult(total, tuple(terms), verdict)
 
 
@@ -453,17 +409,14 @@ def kset_decide(ct: CycleType, k: int) -> KSetDecision:
 def kset_verdict(ct: CycleType, k: int) -> Verdict:
     """Witness-free Verdict wrapping kset_decide for a whole cycle type."""
     decision = kset_decide(ct, k)
-    order = ct.order
-    return Verdict(
-        group_order_of_g=order,
-        induced_order=order,
-        has_regular_cycle=decision.has_regular_cycle,
-        witness=None,
-        method="kset_combinatorial",
-        certified=True,
+    return _verdict(
+        KSetsAction(ct.degree, k),
+        ct,
+        "kset_combinatorial",
+        ct.order,
+        ct.order,
+        decision.has_regular_cycle,
         flags=("cycle_type_decision",),
-        element_text="type:[" + ",".join(str(v) for v in ct.parts) + "]",
-        action_name=f"ksets:{ct.degree}:{k}",
     )
 
 
@@ -841,31 +794,21 @@ def product_witness(
         prod_order = prod.order()
         hint = hints[cyc[0]]
         if prod_order > 1:
+            prod_cycles = prod.cycles(include_fixed=True)
             if hint is not None:
                 delta = hint - 1
                 if not 0 <= delta < base_degree:
                     raise ValueError(f"invalid inner witness {hint}")
-                length = 1
-                curp = prod.images[delta]
-                while curp != delta:
-                    curp = prod.images[curp]
-                    length += 1
+                length = next(len(c) for c in prod_cycles if delta in c)
                 if length != prod_order:
                     raise ValueError(
                         f"invalid inner witness {hint}: orbit length {length}, "
                         f"cycle product order {prod_order}"
                     )
             else:
-                delta = None
-                for cand in range(base_degree):
-                    length = 1
-                    curp = prod.images[cand]
-                    while curp != cand:
-                        curp = prod.images[curp]
-                        length += 1
-                    if length == prod_order:
-                        delta = cand
-                        break
+                delta = next(
+                    (c[0] for c in prod_cycles if len(c) == prod_order), None
+                )
                 if delta is None:
                     raise ValueError(
                         "no regular point for a coordinate-cycle product"
@@ -922,22 +865,8 @@ def gl_regular_vector_set(m: Matrix) -> SpanningSet:
     q = m.field.q
     action = VectorsAction(d, q)
     order = m.order()
-    images = action.induced_images(m)
-    n = action.size
-    seen = bytearray(n)
-    regular_idx: list[int] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = []
-        cur = start
-        while not seen[cur]:
-            seen[cur] = 1
-            orbit.append(cur)
-            cur = images[cur]
-        if len(orbit) == order:
-            regular_idx.extend(orbit)
-    regular_idx.sort()
+    orbits = orbit_partition(action.induced_images(m))
+    regular_idx = sorted(v for orbit in orbits if len(orbit) == order for v in orbit)
     vectors = tuple(action.point(i) for i in regular_idx)
     spans = bool(vectors) and matrix_rank(m.field, list(vectors)) == d
     return SpanningSet(matrix=m, regular_vectors=vectors, spans=spans)
@@ -957,25 +886,9 @@ def affine_witness(f: AffineMap) -> tuple[int, ...]:
     emb = f.embed()
     order = f.order()
     big = VectorsAction(d + 1, q)
-    images = big.induced_images(emb)
-    n = big.size
-    lengths = [0] * n
-    seen = bytearray(n)
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = []
-        cur = start
-        while not seen[cur]:
-            seen[cur] = 1
-            orbit.append(cur)
-            cur = images[cur]
-        for v in orbit:
-            lengths[v] = len(orbit)
+    orbits = orbit_partition(big.induced_images(emb))
     fld = f.field
-    for idx in range(n):
-        if lengths[idx] != order:
-            continue
+    for idx in sorted(v for orbit in orbits if len(orbit) == order for v in orbit):
         vec = big.point(idx)
         lam = vec[d]
         if lam == 0:
@@ -1173,16 +1086,14 @@ def decide(action: Action, g, domain_cap: int = 10**7) -> Verdict:
         ct = g.cycle_type()
         k = min(action.k, action.degree - action.k)
         if k == 0:
-            return Verdict(
-                group_order_of_g=g.order(),
-                induced_order=1,
-                has_regular_cycle=g.order() == 1,
-                witness=None,
-                method="kset_combinatorial",
-                certified=True,
+            return _verdict(
+                action,
+                g,
+                "kset_combinatorial",
+                g.order(),
+                1,
+                g.order() == 1,
                 flags=("trivial_action",),
-                element_text=render_element(g),
-                action_name=action.name,
             )
         decision = kset_decide(ct, k)
         witness = None
@@ -1197,15 +1108,14 @@ def decide(action: Action, g, domain_cap: int = 10**7) -> Verdict:
                 inside = set(small)
                 witness = [v for v in range(1, action.degree + 1) if v not in inside]
                 flags = flags + ("complement_dual",)
-        return Verdict(
-            group_order_of_g=g.order(),
-            induced_order=g.order(),
-            has_regular_cycle=decision.has_regular_cycle,
-            witness=witness,
-            method="kset_combinatorial",
-            certified=True,
-            flags=flags,
-            element_text=render_element(g),
-            action_name=action.name,
+        return _verdict(
+            action,
+            g,
+            "kset_combinatorial",
+            g.order(),
+            g.order(),
+            decision.has_regular_cycle,
+            witness,
+            flags,
         )
     raise DomainCapError(action.size, domain_cap)

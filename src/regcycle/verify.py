@@ -6,8 +6,8 @@ failing block never aborts the suite: the first violated assertion is
 captured into the line so reports always describe every check.
 
 Reports are deterministic for a fixed seed. All sampling happens up front
-with a seeded generator and result assembly is single-threaded and ordered,
-so the rendered output is byte-identical regardless of worker count.
+with a seeded generator and results are assembled in order, so the rendered
+output is byte-identical from run to run.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as iter_permutations
@@ -83,15 +82,12 @@ class RunConfig:
     group_cap: int = 5 * 10**6
     seed: int = 0
     output: str = "json"
-    threads: int = 1
 
     def __post_init__(self):
         if self.domain_cap < 1 or self.group_cap < 1:
             raise ValueError("caps must be positive")
         if self.output not in ("json", "tsv"):
             raise ValueError(f"unknown output format {self.output!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -129,13 +125,6 @@ def _checked(name: str, fn: Callable[[], str]) -> SuiteLine:
         return SuiteLine(name, True, fn())
     except Exception as exc:
         return SuiteLine(name, False, f"{type(exc).__name__}: {exc}")
-
-
-def _parallel_map(fn, items, threads: int) -> list:
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _random_permutation(rng: random.Random, n: int) -> Permutation:
@@ -752,8 +741,7 @@ def suite_identity_checks(
                 )
             return None
 
-        results = _parallel_map(check, pairs, config.threads)
-        bad = [r for r in results if r is not None]
+        bad = [r for r in map(check, pairs) if r is not None]
         assert not bad, bad[0]
         return f"{len(pairs)} (element, action) pairs agree"
 

@@ -6,6 +6,7 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,12 +45,27 @@ def perm_strategy(n: int):
     return st.permutations(list(range(n))).map(lambda im: Permutation(tuple(im)))
 
 
+def naive_orbits(images) -> list[list[int]]:
+    """Reference orbits: apply the map from each point until it returns, and
+    keep the walk only when it started at the orbit's minimum."""
+    orbits = []
+    for x in range(len(images)):
+        orbit = [x]
+        while images[orbit[-1]] != x:
+            orbit.append(images[orbit[-1]])
+        if min(orbit) == x:
+            orbits.append(orbit)
+    return orbits
+
+
 class TestImageHelpers:
     @given(perm_strategy(9))
     def test_orbit_partition_matches_cycles(self, g):
-        orbits = orbit_partition(list(g.images))
-        expected = [list(c) for c in g.cycles(include_fixed=True)]
-        assert orbits == expected
+        expected = naive_orbits(list(g.images))
+        for images in (list(g.images), g.images, np.array(g.images)):
+            orbits = orbit_partition(images)
+            assert orbits == expected
+            assert all(type(v) is int for orbit in orbits for v in orbit)
 
     @given(perm_strategy(9))
     def test_orbit_lengths_and_order(self, g):

@@ -11,7 +11,6 @@ from regcycle.verify import (
     SUITES,
     SuiteLine,
     SuiteReport,
-    _parallel_map,
     run_suite,
     scan_ksets,
     scan_partitions,
@@ -35,7 +34,6 @@ class TestRunConfig:
         assert cfg.group_cap == 5 * 10**6
         assert cfg.seed == 0
         assert cfg.output == "json"
-        assert cfg.threads == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -44,8 +42,6 @@ class TestRunConfig:
             RunConfig(group_cap=-1)
         with pytest.raises(ValueError):
             RunConfig(output="xml")
-        with pytest.raises(ValueError):
-            RunConfig(threads=0)
 
 
 class TestReportShape:
@@ -68,13 +64,6 @@ class TestReportShape:
     def test_run_suite_rejects_unknown(self):
         with pytest.raises(ValueError):
             run_suite("nope")
-
-
-class TestParallelMap:
-    def test_matches_serial(self):
-        items = list(range(50))
-        fn = lambda x: x * x - 1
-        assert _parallel_map(fn, items, 1) == _parallel_map(fn, items, 4)
 
 
 class TestSuiteKsets:
@@ -151,11 +140,6 @@ class TestSuiteIdentities:
         assert rep.all_ok, rep.failures
         corpus_line = rep.lines[-1]
         assert corpus_line.name == "fix_union_vs_bruteforce_corpus"
-
-    def test_threads_do_not_change_outcome(self):
-        rep1 = suite_identity_checks(RunConfig(threads=1), corpus_target=800)
-        rep4 = suite_identity_checks(RunConfig(threads=4), corpus_target=800)
-        assert [l.detail for l in rep1.lines] == [l.detail for l in rep4.lines]
 
 
 class TestSuiteBounds:
