@@ -91,6 +91,10 @@ class Action:
     def induced_images(self, g) -> Sequence[int]:
         return [self.apply(g, i) for i in range(self.size)]
 
+    def compose(self, g, h):
+        """The element that acts as g, then h."""
+        return g * h
+
     def apply_external(self, g, pt):
         return self.point(self.apply(g, self.index(pt)))
 
@@ -295,24 +299,14 @@ class PartitionsAction(Action):
         self._enum = enum
         self._lookup = {p: i for i, p in enumerate(enum)}
 
-    @staticmethod
-    def _canon(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-        return canonical_blocks(blocks)
-
-    def apply_blocks(
-        self, g: Permutation, blocks: Iterable[Iterable[int]]
-    ) -> tuple[tuple[int, ...], ...]:
-        """Apply g to a partition in internal 0-based form."""
-        return apply_to_blocks(g, blocks)
-
     def apply(self, g: Permutation, idx: int) -> int:
         self._materialize()
-        return self._lookup[self.apply_blocks(g, self._enum[idx])]
+        return self._lookup[apply_to_blocks(g, self._enum[idx])]
 
     def induced_images(self, g: Permutation) -> Sequence[int]:
         self._materialize()
         lookup = self._lookup
-        return [lookup[self.apply_blocks(g, blocks)] for blocks in self._enum]
+        return [lookup[apply_to_blocks(g, blocks)] for blocks in self._enum]
 
     def point(self, idx: int) -> tuple[tuple[int, ...], ...]:
         self._materialize()
@@ -320,7 +314,7 @@ class PartitionsAction(Action):
 
     def index(self, pt: Iterable[Iterable[int]]) -> int:
         self._materialize()
-        internal = self._canon([v - 1 for v in block] for block in pt)
+        internal = canonical_blocks([v - 1 for v in block] for block in pt)
         self._validate(internal)
         return self._lookup[internal]
 
@@ -341,9 +335,9 @@ class PartitionsAction(Action):
     def apply_external(
         self, g: Permutation, pt: Iterable[Iterable[int]]
     ) -> tuple[tuple[int, ...], ...]:
-        internal = self._canon([v - 1 for v in block] for block in pt)
+        internal = canonical_blocks([v - 1 for v in block] for block in pt)
         self._validate(internal)
-        image = self.apply_blocks(g, internal)
+        image = apply_to_blocks(g, internal)
         return tuple(tuple(v + 1 for v in block) for block in image)
 
 
@@ -806,6 +800,33 @@ class DiagonalAction(Action):
             c = mul[c, g.m[i - 1]]
             out = out * n + c
         return out
+
+    def compose(self, g: DiagonalElement, h: DiagonalElement) -> DiagonalElement:
+        """The element that acts as g, then h, read off the data tables.
+
+        On full tuples g sends x to phi_g(x^sigma_g)·m_g, with slot 0 of m
+        the identity. Then h sends it to (phi_h phi_g)(x^sigma)·r with
+        sigma = sigma_g sigma_h and r_i = phi_h(m_g[sigma_h^-1(i)])·m_h[i].
+        Left division by the diagonal element r_0 restores slot 0, so the
+        composite has m_i = r_0^-1 r_i and the automorphism t -> r_0^-1
+        phi_h(phi_g(t)) r_0, found by its images of the generators.
+        """
+        self._check(g)
+        self._check(h)
+        mul, inv, aut = self.data.mul, self.data.inv, self.data.aut
+        group = self.data.group
+        hinv = h.sigma.inverse().images
+        mg, mh = (0,) + g.m, (0,) + h.m
+        r = [int(mul[aut[h.phi, mg[hinv[i]]], mh[i]]) for i in range(self.copies + 1)]
+        r0inv = int(inv[r[0]])
+        key = tuple(
+            int(mul[mul[r0inv, aut[h.phi, aut[g.phi, group.index(t)]]], r[0]])
+            for t in group.generators
+        )
+        m = tuple(int(mul[r0inv, v]) for v in r[1:])
+        return DiagonalElement(
+            g.sigma * h.sigma, self.data._phi_by_fingerprint[key], m
+        )
 
     def point(self, idx: int) -> tuple[int, ...]:
         if not 0 <= idx < self.size:

@@ -316,6 +316,8 @@ def _parse_cosets(rest: str, ctx: GroupContext, config: RunConfig):
         sub = sylow_normalizer(group, _int(tail, "cosets"))
     elif head == "pair":
         i, j = _int_pair(tail, ",", "cosets")
+        if i == j:
+            raise SpecError(f"cosets:pair needs two distinct points, got {i},{j}")
         sub = set_stabilizer(group, (i, j))
     else:
         raise SpecError(f"unknown coset spec {rest!r}")

@@ -320,6 +320,8 @@ class AffineMap:
             raise ValueError("linear part must be square")
         if len(self.translation) != self.linear.cols:
             raise ValueError("translation length must match the dimension")
+        if any(not 0 <= v < self.field.q for v in self.translation):
+            raise ValueError("translation entry outside field")
         if not self.linear.is_invertible():
             raise ValueError("linear part must be invertible")
 
@@ -343,6 +345,8 @@ class AffineMap:
         f = self.field
         trans = tuple(f.add(a, b) for a, b in zip(trans, other.translation))
         return AffineMap(lin, trans)
+
+    __mul__ = compose
 
     def embed(self) -> Matrix:
         """Block matrix [[linear, 0], [translation, 1]] of size d+1.

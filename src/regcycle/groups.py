@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .gfalgebra import Field, Matrix, SemilinearMap, field_ops, projective_action
-from .permcore import Permutation
+from .permcore import Permutation, factorize
 
 DEFAULT_GROUP_CAP = 5_000_000
 
@@ -251,10 +251,13 @@ def set_stabilizer(group: GeneratedGroup, points: Sequence[int]) -> GeneratedGro
 def sylow_normalizer(group: GeneratedGroup, prime: int) -> GeneratedGroup:
     """Normalizer of the cyclic subgroup generated by the first element of
     order ``prime`` in enumeration order (a Sylow subgroup when prime
-    divides the order exactly once)."""
+    divides the order exactly once). Raises ValueError unless ``prime`` is a
+    prime."""
     gen = next((g for g in group.elements if g.order() == prime), None)
     if gen is None:
         raise ValueError("group has no element of order %d" % prime)
+    if factorize(prime).prime_powers != ((prime, 1),):
+        raise ValueError("%d is not a prime" % prime)
     sub = {gen**i for i in range(prime)}
     members = [a for a in group.elements if all(x.conj(a) in sub for x in sub)]
     return GeneratedGroup(group.degree, tuple(members), tuple(sorted(members)))

@@ -3,8 +3,11 @@
 An orbit of a point under an element g is a regular cycle when its length
 equals the abstract order of g. Everything here either decides whether such
 an orbit exists for a given induced action, or constructs one explicitly and
-certifies it by walking the orbit. Certification failures raise
-AssertionError: a construction is never allowed to return silently wrong.
+certifies it with `certify_regular`: a point lies on a regular cycle exactly
+when no power g^(|g|/p), with p a prime dividing |g|, fixes it, and those
+powers are applied from shared squarings of g, so the check never walks the
+orbit. Certification failures raise AssertionError: a construction is never
+allowed to return silently wrong.
 
 Point values in results are external (1-based or field codes, matching the
 owning action); all internal work is 0-based.
@@ -29,6 +32,7 @@ from .actions import (
     DiagonalAction,
     DiagonalElement,
     KSetsAction,
+    PartitionsAction,
     ProductAction,
     VectorsAction,
     WreathElement,
@@ -166,18 +170,33 @@ def _verdict(
     )
 
 
-def certify_orbit(action: Action, g, start_idx: int, expected: int) -> None:
-    """Walk the orbit of start_idx and assert its length is `expected`."""
-    cur = action.apply(g, start_idx)
-    steps = 1
-    while cur != start_idx:
-        cur = action.apply(g, cur)
-        steps += 1
-        if steps > expected:
-            break
-    assert steps == expected, (
-        f"orbit of point {start_idx} has length {steps}, expected {expected}"
-    )
+def certify_regular(action: Action, g, pt, order: int) -> None:
+    """Assert that the external point pt lies on a g-cycle of length `order`.
+
+    pt must be in the canonical form that action.apply_external returns.
+    Its orbit length divides `order` when g^order fixes it, and equals
+    `order` when, besides, no g^(order/p) with p a prime dividing `order`
+    fixes it. The powers act through the shared squarings g, g^2, g^4, ...,
+    so the check costs bit_length(order) - 1 compositions and popcount(e)
+    applications per exponent e checked, never a walk of the orbit.
+    """
+    squares = [g]
+    for _ in range(order.bit_length() - 1):
+        squares.append(action.compose(squares[-1], squares[-1]))
+
+    def image(e: int):
+        out = pt
+        for bit, sq in enumerate(squares):
+            if e >> bit & 1:
+                out = action.apply_external(sq, out)
+        return out
+
+    # Raised explicitly, so that the check also runs under python -O.
+    if image(order) != pt:
+        raise AssertionError(f"g^{order} moves the point {pt}")
+    for p in factorize(order).primes:
+        if image(order // p) == pt:
+            raise AssertionError(f"g^({order}/{p}) fixes the point {pt}")
 
 
 def decide_bruteforce(action: Action, g) -> Verdict:
@@ -225,7 +244,7 @@ def decide_fix_union(action: Action, g) -> Verdict:
     if uncovered.size == 0:
         return _verdict(action, g, "fix_union", order, induced, False, None, flags)
     witness_idx = int(uncovered[0])
-    certify_orbit(action, g, witness_idx, order)
+    certify_regular(action, g, action.point(witness_idx), order)
     witness = action.point_json(witness_idx)
     return _verdict(action, g, "fix_union", order, induced, True, witness, flags)
 
@@ -271,33 +290,21 @@ def lift_witness(action: Action, g, p: int, w):
     """Promote a regular point of g^p to a regular point of g.
 
     Requires p prime with p^2 dividing |g| and the g^p-orbit of w of length
-    |g|/p. The g-orbit of w then has length |g|: its length t is a multiple
-    of |g|/p dividing |g|, and t = |g|/p would put the nontrivial power
-    g^(|g|/p) inside the point stabilizer, contradicting regularity of the
-    g^p-orbit. The returned point is w itself, re-certified under g.
+    |g|/p. Then |g|/p has the same prime divisors as |g|, and the powers
+    (g^p)^((|g|/p)/r) are the powers g^(|g|/r): w is regular under g^p
+    exactly when it is regular under g, and one certification checks both.
+    The returned point is w itself. Raises ValueError when w is not regular.
     """
     order = action.element_order(g)
-    fac = factorize(order)
-    exps = dict(fac.prime_powers)
-    if p not in exps or exps[p] < 2:
+    exps = dict(factorize(order).prime_powers)
+    if exps.get(p, 0) < 2:
         raise ValueError(f"p={p} must be a prime with p^2 dividing |g|={order}")
-    w_idx = action.index(w)
-    target = order // p
-    cur = w_idx
-    steps = 0
-    while True:
-        for _ in range(p):
-            cur = action.apply(g, cur)
-        steps += 1
-        if cur == w_idx:
-            break
-        if steps > target:
-            break
-    if steps != target:
+    try:
+        certify_regular(action, g, w, order)
+    except AssertionError as exc:
         raise ValueError(
-            f"the orbit of w under g^{p} has length {steps}, expected {target}"
-        )
-    certify_orbit(action, g, w_idx, order)
+            f"the orbit of w under g^{p} does not have length {order // p}: {exc}"
+        ) from None
     return w
 
 
@@ -439,7 +446,6 @@ def kset_witness(g: Permutation, k: int) -> tuple[int, ...]:
         raise ValueError(
             f"no regular cycle on {k}-sets for cycle type {list(ct.parts)}"
         )
-    order = g.order()
     cycles = g.cycles(include_fixed=True)
     chosen: list[tuple[int, ...]] = []
     for length in decision.chosen_lengths:
@@ -473,8 +479,7 @@ def kset_witness(g: Permutation, k: int) -> tuple[int, ...]:
                 pad -= 1
         assert pad == 0
     witness = tuple(sorted(v + 1 for v in picked))
-    action = KSetsAction(m, k)
-    certify_orbit(action, g, action.index(witness), order)
+    certify_regular(KSetsAction(m, k), g, witness, g.order())
     return witness
 
 
@@ -681,21 +686,14 @@ def partition_witness(
             "shape (2, 2) has only 3 partitions; elements of order 4 "
             "cannot have a regular cycle there"
         )
-    order = g.order()
     n = a * b
     s, lengths = min_cover(g.cycle_type().parts)
 
     if s == 0:
-        blocks = _chunks(list(range(n)), a)
-        result = canonical_blocks(blocks)
-        _certify_partition(g, a, b, result, order)
-        return tuple(tuple(v + 1 for v in blk) for blk in result)
+        return _certified_partition(g, a, b, _chunks(list(range(n)), a))
 
     if s == 1 and _is_prime(lengths[0]):
-        blocks = _first_moved_partition(g, a, b)
-        result = canonical_blocks(blocks)
-        _certify_partition(g, a, b, result, order)
-        return tuple(tuple(v + 1 for v in blk) for blk in result)
+        return _certified_partition(g, a, b, _first_moved_partition(g, a, b))
 
     cycles = g.cycles(include_fixed=True)
     chosen: list[tuple[int, ...]] = []
@@ -725,32 +723,20 @@ def partition_witness(
 
     back = conj.inverse().images
     actual = [[back[v] for v in blk] for blk in std_blocks]
-    result = canonical_blocks(actual)
-    _certify_partition(g, a, b, result, order)
-    return tuple(tuple(v + 1 for v in blk) for blk in result)
+    return _certified_partition(g, a, b, actual)
 
 
-def _certify_partition(
-    g: Permutation,
-    a: int,
-    b: int,
-    blocks: tuple[tuple[int, ...], ...],
-    expected: int,
-) -> None:
-    flat = sorted(v for blk in blocks for v in blk)
+def _certified_partition(
+    g: Permutation, a: int, b: int, blocks: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], ...]:
+    """The 1-based canonical form of a 0-based block system, certified."""
+    result = canonical_blocks(blocks)
+    flat = sorted(v for blk in result for v in blk)
     assert flat == list(range(a * b)), "blocks do not partition the domain"
-    assert all(len(blk) == a for blk in blocks) and len(blocks) == b
-    start = canonical_blocks(blocks)
-    cur = apply_to_blocks(g, start)
-    steps = 1
-    while cur != start:
-        cur = apply_to_blocks(g, cur)
-        steps += 1
-        if steps > expected:
-            break
-    assert steps == expected, (
-        f"partition orbit has length {steps}, expected {expected}"
-    )
+    assert all(len(blk) == a for blk in result) and len(result) == b
+    witness = tuple(tuple(v + 1 for v in blk) for blk in result)
+    certify_regular(PartitionsAction(a, b), g, witness, g.order())
+    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -793,19 +779,12 @@ def product_witness(
             prod = prod * perms[i]
         prod_order = prod.order()
         hint = hints[cyc[0]]
+        delta = 0 if hint is None else hint - 1
+        if not 0 <= delta < base_degree:
+            raise ValueError(f"invalid inner witness {hint}")
         if prod_order > 1:
             prod_cycles = prod.cycles(include_fixed=True)
-            if hint is not None:
-                delta = hint - 1
-                if not 0 <= delta < base_degree:
-                    raise ValueError(f"invalid inner witness {hint}")
-                length = next(len(c) for c in prod_cycles if delta in c)
-                if length != prod_order:
-                    raise ValueError(
-                        f"invalid inner witness {hint}: orbit length {length}, "
-                        f"cycle product order {prod_order}"
-                    )
-            else:
+            if hint is None:
                 delta = next(
                     (c[0] for c in prod_cycles if len(c) == prod_order), None
                 )
@@ -813,32 +792,22 @@ def product_witness(
                     raise ValueError(
                         "no regular point for a coordinate-cycle product"
                     )
-            suffix = Permutation.identity(base_degree)
-            values = [delta] * r
-            for j in range(r - 1, 0, -1):
-                suffix = perms[cyc[j]] * suffix
-                values[j] = suffix.inverse().images[delta]
-            for j, i in enumerate(cyc):
-                out[i] = values[j]
-        else:
-            delta = (hint - 1) if hint is not None else 0
-            if not 0 <= delta < base_degree:
-                raise ValueError(f"invalid inner witness {hint}")
-            if r > 1:
-                alt = 0 if delta != 0 else 1
-                suffix = Permutation.identity(base_degree)
-                values = [delta] * r
-                values[0] = alt
-                for j in range(r - 1, 0, -1):
-                    suffix = perms[cyc[j]] * suffix
-                    values[j] = suffix.inverse().images[delta]
-                for j, i in enumerate(cyc):
-                    out[i] = values[j]
             else:
-                out[cyc[0]] = delta
+                length = next(len(c) for c in prod_cycles if delta in c)
+                if length != prod_order:
+                    raise ValueError(
+                        f"invalid inner witness {hint}: orbit length {length}, "
+                        f"cycle product order {prod_order}"
+                    )
+        # Under an identity cycle product the first coordinate leaves delta,
+        # so that the tuple still detects the rotation of the top cycle.
+        out[cyc[0]] = int(delta == 0) if prod_order == 1 and r > 1 else delta
+        suffix = Permutation.identity(base_degree)
+        for j in range(r - 1, 0, -1):
+            suffix = perms[cyc[j]] * suffix
+            out[cyc[j]] = suffix.inverse().images[delta]
     witness = tuple(v + 1 for v in out)
-    action = ProductAction(base_degree, copies)
-    certify_orbit(action, g, action.index(witness), order)
+    certify_regular(ProductAction(base_degree, copies), g, witness, order)
     return witness
 
 
@@ -895,8 +864,7 @@ def affine_witness(f: AffineMap) -> tuple[int, ...]:
             continue
         lam_inv = fld.inv(lam)
         w = tuple(fld.mul(lam_inv, vec[j]) for j in range(d))
-        action = AffineVectorsAction(d, q)
-        certify_orbit(action, f, action.index(w), order)
+        certify_regular(AffineVectorsAction(d, q), f, w, order)
         return w
     raise ValueError("no regular affine vector exists for this map")
 

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from regcycle.actions import (
@@ -16,6 +16,7 @@ from regcycle.actions import (
     AffineVectorsAction,
     CosetsAction,
     DiagonalAction,
+    DiagonalElement,
     DiagonalGroupData,
     KSetsAction,
     NaturalAction,
@@ -338,6 +339,30 @@ class TestVectorActions:
             lifted = emb.vec_mul(w + (1,))
             assert lifted == image + (1,)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([3, 4]),
+        st.lists(st.integers(0, 2), min_size=6, max_size=6),
+        st.lists(st.integers(0, 2), min_size=6, max_size=6),
+    )
+    def test_affine_product_matches_image_arrays(self, q, a, b):
+        f = field_ops(q)
+        maps = []
+        for entries in (a, b):
+            lin = Matrix(f, 2, 2, entries[:4])
+            assume(lin.is_invertible())
+            maps.append(AffineMap(lin, tuple(entries[4:])))
+        act = AffineVectorsAction(2, q)
+        first, second = (np.asarray(act.induced_images(h)) for h in maps)
+        product = act.induced_images(maps[0] * maps[1])
+        assert list(product) == list(second[first])
+        assert maps[0] * maps[1] == act.compose(maps[0], maps[1])
+
+    def test_affine_translation_out_of_field(self):
+        f = field_ops(3)
+        with pytest.raises(ValueError, match="outside field"):
+            AffineMap(Matrix.identity(f, 2), (1, 5))
+
     def test_affine_translation_order(self):
         f = field_ops(3)
         amap = AffineMap(Matrix.identity(f, 2), (1, 0))
@@ -480,6 +505,22 @@ class TestDiagonal:
             images = act.induced_images(g)
             for idx in rng.sample(range(act.size), 25):
                 assert act.apply(g, idx) == int(images[idx])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_compose_matches_image_arrays(self, alt5_data, data):
+        copies = data.draw(st.sampled_from([1, 2]))
+        act = DiagonalAction(alt5_data, copies)
+
+        def element():
+            sigma = data.draw(st.permutations(range(copies + 1)))
+            phi = data.draw(st.integers(0, alt5_data.aut.shape[0] - 1))
+            m = data.draw(st.lists(st.integers(0, 59), min_size=copies, max_size=copies))
+            return DiagonalElement(Permutation(tuple(sigma)), phi, tuple(m))
+
+        g, h = element(), element()
+        first, second = act.induced_images(g), act.induced_images(h)
+        assert list(act.induced_images(act.compose(g, h))) == list(second[first])
 
     def test_pure_translation_fixes_nothing(self, alt5_data):
         act = DiagonalAction(alt5_data, 1)

@@ -159,6 +159,8 @@ class TestDecide:
             ("sym:6", "cosets:stab:0"),
             ("sym:6", "cosets:stab:7"),
             ("sym:6", "cosets:pair:1,9"),
+            ("sym:6", "cosets:pair:1,1"),
+            ("sym:4", "cosets:sylow:4"),
             ("sym:6", "cosets:pgl2:6"),
             ("sym:4", "cosets:sylow:5"),
             ("sym:6", "cosets:bogus:1"),
@@ -168,6 +170,30 @@ class TestDecide:
     def test_malformed_action_exit_2(self, group, action):
         proc = run_cli(
             "decide", "--group", group, "--element", "(1 2)", "--action", action
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+    @pytest.mark.parametrize(
+        "group, element, action",
+        [
+            ("sym:x", "(1 2)", "natural"),
+            ("foo:3", "(1 2)", "natural"),
+            ("sym:6", "(1 9)", "natural"),
+            ("sym:6", "(1 2", "natural"),
+            ("sym:6", "(1 1)", "natural"),
+            ("gl:2,3", "1,1,1,1", "vectors"),
+            ("agl:2,3", "1,0,0,1+5,0", "affine"),
+            ("wreath:3,2", "(1 2)@(1 2)", "product"),
+            ("diag:5,1", "sigma=();phi=500;m=1", "diagonal"),
+        ],
+    )
+    def test_malformed_spec_exit_2(self, group, element, action):
+        proc = run_cli(
+            "decide", "--group", group, "--element", element, "--action", action
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""

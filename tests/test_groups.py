@@ -147,6 +147,10 @@ class TestSubgroups:
         n = sylow_normalizer(g, 5)
         assert g.order // n.order == 36
 
+    def test_sylow_normalizer_rejects_non_prime(self):
+        with pytest.raises(ValueError, match="not a prime"):
+            sylow_normalizer(symmetric_group(4), 4)
+
 
 class TestGL:
     def test_gl_element_counts(self):

@@ -6,6 +6,7 @@ arithmetic on external values, never through action index tables.
 """
 
 import math
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -46,6 +47,7 @@ from regcycle.regular import (
     PartitionCaseError,
     Verdict,
     affine_witness,
+    certify_regular,
     cycle_ratio_stats,
     decide,
     decide_bruteforce,
@@ -388,6 +390,63 @@ class TestLiftWitness:
                     w = lift_witness(a, g, p, start)
                     assert kset_orbit_length(g, (w,)) == order
                     break
+
+
+class TestCertifyRegular:
+    def test_rejects_point_on_short_cycle(self):
+        g = parse_cycles("(1 2 3 4)(5 6)", 6)
+        with pytest.raises(AssertionError, match=r"g\^\(4/2\) fixes the point 5"):
+            certify_regular(NaturalAction(6), g, 5, 4)
+
+    def test_rejects_order_that_is_not_a_period(self):
+        g = parse_cycles("(1 2 3 4)", 4)
+        with pytest.raises(AssertionError, match="moves"):
+            certify_regular(NaturalAction(4), g, 1, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(perm_strategy(7), st.integers(1, 3))
+    def test_matches_orbit_walk(self, g, k):
+        order = g.order()
+        for action in (NaturalAction(7), KSetsAction(7, k)):
+            for idx in range(action.size):
+                pt = action.point(idx)
+                walked = kset_orbit_length(g, pt if isinstance(pt, tuple) else (pt,))
+                try:
+                    certify_regular(action, g, pt, order)
+                    certified = True
+                except AssertionError:
+                    certified = False
+                assert certified == (walked == order), (g, action.name, pt)
+
+    def test_ksets_high_order_in_bounded_time(self):
+        parts = [23, 19, 17, 13, 11, 7, 5, 3, 2]
+        g = canonical_of_type(parts)
+        order = math.prod(parts)
+        start = time.perf_counter()
+        v = decide(KSetsAction(100, 9), g)
+        assert time.perf_counter() - start < 5
+        assert v.method == "kset_combinatorial" and v.has_regular_cycle
+        w = frozenset(v.witness)
+        assert len(w) == 9
+        # The primes dividing the order are the cycle lengths.
+        for p in parts:
+            h = g ** (order // p)
+            assert frozenset(h.images[x - 1] + 1 for x in w) != w, p
+
+    def test_partition_3x10_of_order_4620(self):
+        parts = [11, 7, 5, 4, 3]
+        g = canonical_of_type(parts)
+        order = g.order()
+        assert order == 4620
+        w = partition_witness(g, 3, 10)
+        assert len(w) == 10 and all(len(blk) == 3 for blk in w)
+        assert sorted(v for blk in w for v in blk) == list(range(1, 31))
+        blocks = frozenset(frozenset(blk) for blk in w)
+        for p in (2, 3, 5, 7, 11):
+            h = g ** (order // p)
+            image = frozenset(frozenset(h.images[v - 1] + 1 for v in blk) for blk in w)
+            assert image != blocks, p
+        assert partition_orbit_length(g, w) == order
 
 
 class TestCycleRatioStats:
