@@ -1,12 +1,20 @@
 """Induced actions on derived point sets.
 
-Every action here exposes the same small interface: points are addressed by a
-0-based internal index, `apply` pushes one index forward under a group
-element, and `induced_images` materializes the whole induced map as an image
-array. External representations (tuples, blocks, vectors, coset
+Every action here exposes the same small interface. Points are addressed by
+a 0-based internal index; `point` and `index` convert between an index and
+the external point. External representations (tuples, blocks, vectors, coset
 representatives) use 1-based point labels wherever the underlying set is a
 permutation domain; finite field coordinates keep their 0-based element
-codes.
+codes. An action defines its map once: either `apply`, which pushes one
+index forward under a group element, or `apply_external`, which pushes one
+external point; `Action` derives the other. `induced_images` materializes
+the whole induced map as an image array.
+
+The product, vector, affine and diagonal actions are `TupleAction`s: their
+points are little-endian digit tuples, and each writes its map once, as
+`move(g, digits)` on 0-based digits that may be plain ints or numpy index
+arrays. `TupleAction` derives the point codec, `apply`, `apply_external`
+and `induced_images` from that one formula.
 
 All actions are right actions: apply(g * h, i) == apply(h, apply(g, i)).
 """
@@ -67,7 +75,11 @@ def power_images(images: Sequence[int], exponent: int) -> Sequence[int]:
 
 
 class Action:
-    """Right action of group elements on an indexed finite point set."""
+    """Right action of group elements on an indexed finite point set.
+
+    A subclass defines its map once, either as `apply` on indices or as
+    `apply_external` on external points; each is derived from the other.
+    """
 
     name: str
     size: int
@@ -76,7 +88,7 @@ class Action:
         raise NotImplementedError
 
     def apply(self, g, idx: int) -> int:
-        raise NotImplementedError
+        return self.index(self.apply_external(g, self.point(idx)))
 
     def point(self, idx: int):
         raise NotImplementedError
@@ -193,9 +205,6 @@ class KSetsAction(Action):
         out.reverse()
         return tuple(out)
 
-    def apply(self, g: Permutation, idx: int) -> int:
-        return _colex_rank(sorted(g.images[v] for v in self._unrank(idx)))
-
     def induced_images(self, g: Permutation) -> Sequence[int]:
         imgs = g.images
         return [
@@ -298,10 +307,6 @@ class PartitionsAction(Action):
         enum = list(iter_uniform_partitions(self.block_size, tuple(range(self.degree))))
         self._enum = enum
         self._lookup = {p: i for i, p in enumerate(enum)}
-
-    def apply(self, g: Permutation, idx: int) -> int:
-        self._materialize()
-        return self._lookup[apply_to_blocks(g, self._enum[idx])]
 
     def induced_images(self, g: Permutation) -> Sequence[int]:
         self._materialize()
@@ -407,13 +412,7 @@ class WreathElement:
 
     def order(self) -> int:
         """lcm over top cycles of (cycle length) * (order of the cycle product)."""
-        out = 1
-        for cyc in self.top.cycles(include_fixed=True):
-            prod = self.components[cyc[0]]
-            for i in cyc[1:]:
-                prod = prod * self.components[i]
-            out = math.lcm(out, len(cyc) * prod.order())
-        return out
+        return math.lcm(*(len(cyc) * prod.order() for cyc, prod in self.cycle_products()))
 
     def cycle_products(self) -> list[tuple[tuple[int, ...], Permutation]]:
         """(top cycle, product of components along it) for every top cycle."""
@@ -438,11 +437,85 @@ class WreathElement:
         return f"WreathElement({comps} @ {render_cycles(self.top)})"
 
 
-class ProductAction(Action):
+class TupleAction(Action):
+    """Action on the tuples of `length` digits in 0..radix-1.
+
+    Index i packs a tuple little-endian (the first coordinate varies
+    fastest). An external point adds `offset` to every digit: 1 where the
+    digits are points of a permutation domain, 0 where they are field
+    codes. A subclass defines its map once, as move(g, digits): it takes a
+    list of 0-based digits, each a plain int or a numpy index array, and
+    returns the image digits. It reads only numpy tables, so the same
+    formula moves one point and, on index arrays, builds the whole image
+    array.
+    """
+
+    def __init__(self, radix: int, length: int, offset: int, name: str):
+        self.radix = radix
+        self.length = length
+        self.offset = offset
+        self.size = radix**length
+        self.name = name
+
+    def _check(self, g) -> None:
+        """Raise ValueError when g does not fit the action."""
+
+    def move(self, g, digits: list) -> list:
+        raise NotImplementedError
+
+    def _decode(self, idx):
+        digits = []
+        for _ in range(self.length):
+            digits.append(idx % self.radix)
+            idx //= self.radix
+        return digits
+
+    def _encode(self, digits):
+        idx = 0
+        for v in reversed(digits):
+            idx = idx * self.radix + v
+        return idx
+
+    def _digits(self, pt: Iterable[int]) -> list[int]:
+        """The 0-based digits of an external point, checked."""
+        digits = [v - self.offset for v in pt]
+        if len(digits) != self.length:
+            raise ValueError(f"expected {self.length} coordinates")
+        if min(digits) < 0 or max(digits) >= self.radix:
+            lo = self.offset
+            raise ValueError(f"coordinates must lie in {lo}..{lo + self.radix - 1}")
+        return digits
+
+    def point(self, idx: int) -> tuple[int, ...]:
+        if not 0 <= idx < self.size:
+            raise IndexError(idx)
+        return tuple(int(v) + self.offset for v in self._decode(idx))
+
+    def index(self, pt: Iterable[int]) -> int:
+        return self._encode(self._digits(pt))
+
+    def point_json(self, idx: int) -> list[int]:
+        return list(self.point(idx))
+
+    def apply(self, g, idx: int) -> int:
+        self._check(g)
+        # Python ints, so that indices past the int64 range stay exact.
+        return self._encode([int(v) for v in self.move(g, self._decode(idx))])
+
+    def apply_external(self, g, pt: Iterable[int]) -> tuple[int, ...]:
+        self._check(g)
+        return tuple([int(v) + self.offset for v in self.move(g, self._digits(pt))])
+
+    def induced_images(self, g) -> np.ndarray:
+        self._check(g)
+        points = np.arange(self.size, dtype=np.int64)
+        return self._encode(self.move(g, self._decode(points)))
+
+
+class ProductAction(TupleAction):
     """Wreath product acting on tuples: coordinate i^s receives coordinate i.
 
-    Points are the l-tuples over {1..base_degree}, indexed little-endian
-    (first coordinate varies fastest).
+    Points are the l-tuples over {1..base_degree}.
     """
 
     def __init__(self, base_degree: int, copies: int):
@@ -452,8 +525,7 @@ class ProductAction(Action):
             raise ValueError("need at least one copy")
         self.base_degree = base_degree
         self.copies = copies
-        self.size = base_degree**copies
-        self.name = f"product:{base_degree}:{copies}"
+        super().__init__(base_degree, copies, 1, f"product:{base_degree}:{copies}")
 
     def _check(self, g: WreathElement) -> None:
         if g.base_degree != self.base_degree or g.copies != self.copies:
@@ -463,63 +535,17 @@ class ProductAction(Action):
         self._check(g)
         return g.order()
 
-    def _decode(self, idx: int) -> list[int]:
-        d = self.base_degree
-        out = []
-        for _ in range(self.copies):
-            out.append(idx % d)
-            idx //= d
+    def move(self, g: WreathElement, digits: list) -> list:
+        out = [0] * self.copies
+        for comp, s, d in zip(g.components, g.top.images, digits):
+            out[s] = np.asarray(comp.images)[d]
         return out
 
-    def _encode(self, digits: Sequence[int]) -> int:
-        d = self.base_degree
-        out = 0
-        for v in reversed(digits):
-            out = out * d + v
-        return out
 
-    def apply(self, g: WreathElement, idx: int) -> int:
-        self._check(g)
-        digits = self._decode(idx)
-        inv = g.top.inverse().images
-        comps = g.components
-        new = [comps[inv[j]].images[digits[inv[j]]] for j in range(self.copies)]
-        return self._encode(new)
-
-    def induced_images(self, g: WreathElement) -> Sequence[int]:
-        self._check(g)
-        inv = g.top.inverse().images
-        comps = g.components
-        d = self.base_degree
-        out = []
-        for idx in range(self.size):
-            digits = self._decode(idx)
-            new = [comps[inv[j]].images[digits[inv[j]]] for j in range(self.copies)]
-            out.append(self._encode(new))
-        return out
-
-    def point(self, idx: int) -> tuple[int, ...]:
-        if not 0 <= idx < self.size:
-            raise IndexError(idx)
-        return tuple(v + 1 for v in self._decode(idx))
-
-    def index(self, pt: Iterable[int]) -> int:
-        vals = list(pt)
-        if len(vals) != self.copies:
-            raise ValueError(f"expected {self.copies} coordinates")
-        if any(not 1 <= v <= self.base_degree for v in vals):
-            raise ValueError(f"coordinates must lie in 1..{self.base_degree}")
-        return self._encode([v - 1 for v in vals])
-
-    def point_json(self, idx: int) -> list[int]:
-        return list(self.point(idx))
-
-
-class VectorsAction(Action):
+class VectorsAction(TupleAction):
     """Invertible matrices acting on row vectors of a finite field power.
 
-    Vector coordinates are field element codes (0-based); the index packs
-    them little-endian in base q.
+    Vector coordinates are field element codes (0-based).
     """
 
     def __init__(self, dimension: int, q: int):
@@ -527,8 +553,7 @@ class VectorsAction(Action):
             raise ValueError("dimension must be positive")
         self.field = field_ops(q)
         self.dimension = dimension
-        self.size = q**dimension
-        self.name = f"vectors:{dimension}:{q}"
+        super().__init__(q, dimension, 0, f"vectors:{dimension}:{q}")
 
     def _check(self, m: Matrix) -> None:
         if m.field.q != self.field.q or m.rows != self.dimension:
@@ -538,40 +563,15 @@ class VectorsAction(Action):
         self._check(m)
         return m.order()
 
-    def _decode(self, idx: int) -> tuple[int, ...]:
-        q = self.field.q
+    def move(self, m: Matrix, digits: list) -> list:
+        add, mul = self.field.add_table, self.field.mul_table
         out = []
-        for _ in range(self.dimension):
-            out.append(idx % q)
-            idx //= q
-        return tuple(out)
-
-    def _encode(self, vec: Sequence[int]) -> int:
-        q = self.field.q
-        out = 0
-        for v in reversed(vec):
-            out = out * q + v
+        for j in range(self.dimension):
+            acc = 0
+            for i, d in enumerate(digits):
+                acc = add[acc, mul[d, m[i, j]]]
+            out.append(acc)
         return out
-
-    def apply(self, m: Matrix, idx: int) -> int:
-        self._check(m)
-        return self._encode(m.vec_mul(self._decode(idx)))
-
-    def point(self, idx: int) -> tuple[int, ...]:
-        if not 0 <= idx < self.size:
-            raise IndexError(idx)
-        return self._decode(idx)
-
-    def index(self, pt: Iterable[int]) -> int:
-        vals = list(pt)
-        if len(vals) != self.dimension:
-            raise ValueError(f"expected {self.dimension} coordinates")
-        if any(not 0 <= v < self.field.q for v in vals):
-            raise ValueError(f"coordinates must be field codes 0..{self.field.q - 1}")
-        return self._encode(vals)
-
-    def point_json(self, idx: int) -> list[int]:
-        return list(self.point(idx))
 
 
 class AffineVectorsAction(VectorsAction):
@@ -589,9 +589,10 @@ class AffineVectorsAction(VectorsAction):
         self._check(m)
         return m.order()
 
-    def apply(self, m: AffineMap, idx: int) -> int:
-        self._check(m)
-        return self._encode(m.apply(self._decode(idx)))
+    def move(self, m: AffineMap, digits: list) -> list:
+        add = self.field.add_table
+        linear = super().move(m.linear, digits)
+        return [add[v, t] for v, t in zip(linear, m.translation)]
 
 
 class CosetsAction(Action):
@@ -736,7 +737,7 @@ class DiagonalElement:
         return f"DiagonalElement({render_cycles(self.sigma)}, phi={self.phi}, m={self.m})"
 
 
-class DiagonalAction(Action):
+class DiagonalAction(TupleAction):
     """Action on copies-tuples of target group elements, as diagonal cosets.
 
     A point is the normalized representative (1, a_1, ..., a_l) of a coset of
@@ -751,8 +752,7 @@ class DiagonalAction(Action):
             raise ValueError("need at least one visible coordinate")
         self.data = data
         self.copies = copies
-        self.size = data.order**copies
-        self.name = f"diagonal:{data.label}:{copies}"
+        super().__init__(data.order, copies, 1, f"diagonal:{data.label}:{copies}")
 
     def _check(self, g: DiagonalElement) -> None:
         if g.sigma.degree != self.copies + 1:
@@ -763,43 +763,14 @@ class DiagonalAction(Action):
         # order equals the induced order.
         return images_order(self.induced_images(g))
 
-    def apply(self, g: DiagonalElement, idx: int) -> int:
-        self._check(g)
-        n = self.data.order
-        mul, inv, aut = self.data.mul, self.data.inv, self.data.aut
-        simg = g.sigma.images
+    def move(self, g: DiagonalElement, digits: list) -> list:
+        mul, inv, aut, phi = self.data.mul, self.data.inv, self.data.aut, g.phi
+        slots = [0, *digits]
         beta = [0] * (self.copies + 1)
-        for i in range(self.copies + 1):
-            beta[simg[i]] = 0 if i == 0 else (idx // n ** (i - 1)) % n
-        b0inv = int(inv[beta[0]])
-        phi_row = aut[g.phi]
-        out = 0
-        for i in range(self.copies, 0, -1):
-            c = int(mul[b0inv, beta[i]])
-            c = int(phi_row[c])
-            c = int(mul[c, g.m[i - 1]])
-            out = out * n + c
-        return out
-
-    def induced_images(self, g: DiagonalElement) -> np.ndarray:
-        self._check(g)
-        n = self.data.order
-        mul, inv, aut = self.data.mul, self.data.inv, self.data.aut
-        simg = g.sigma.images
-        ar = np.arange(self.size, dtype=np.int64)
-        beta: list[np.ndarray | None] = [None] * (self.copies + 1)
-        zeros = np.zeros(self.size, dtype=np.int64)
-        for i in range(self.copies + 1):
-            beta[simg[i]] = zeros if i == 0 else (ar // n ** (i - 1)) % n
+        for i, s in enumerate(g.sigma.images):
+            beta[s] = slots[i]
         b0inv = inv[beta[0]]
-        phi_row = aut[g.phi]
-        out = np.zeros(self.size, dtype=np.int64)
-        for i in range(self.copies, 0, -1):
-            c = mul[b0inv, beta[i]]
-            c = phi_row[c]
-            c = mul[c, g.m[i - 1]]
-            out = out * n + c
-        return out
+        return [mul[aut[phi, mul[b0inv, b]], t] for b, t in zip(beta[1:], g.m)]
 
     def compose(self, g: DiagonalElement, h: DiagonalElement) -> DiagonalElement:
         """The element that acts as g, then h, read off the data tables.
@@ -827,31 +798,6 @@ class DiagonalAction(Action):
         return DiagonalElement(
             g.sigma * h.sigma, self.data._phi_by_fingerprint[key], m
         )
-
-    def point(self, idx: int) -> tuple[int, ...]:
-        if not 0 <= idx < self.size:
-            raise IndexError(idx)
-        n = self.data.order
-        out = []
-        for _ in range(self.copies):
-            out.append(idx % n + 1)
-            idx //= n
-        return tuple(out)
-
-    def index(self, pt: Iterable[int]) -> int:
-        vals = list(pt)
-        n = self.data.order
-        if len(vals) != self.copies:
-            raise ValueError(f"expected {self.copies} coordinates")
-        if any(not 1 <= v <= n for v in vals):
-            raise ValueError(f"coordinates must be element numbers 1..{n}")
-        out = 0
-        for v in reversed(vals):
-            out = out * n + (v - 1)
-        return out
-
-    def point_json(self, idx: int) -> list[int]:
-        return list(self.point(idx))
 
     def translation(self, parts: Sequence[Permutation]) -> DiagonalElement:
         """Element of the direct-power part, given copies+1 target elements.

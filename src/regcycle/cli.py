@@ -360,7 +360,9 @@ def cmd_decide(args, config: RunConfig) -> int:
 
 def cmd_verify(args, config: RunConfig) -> int:
     overrides = {}
-    if args.suite == "ksets" and args.m:
+    if args.m and args.suite != "ksets":
+        raise SpecError(f"--m applies only to --suite ksets, not {args.suite}")
+    if args.m:
         _, hi = _parse_range(args.m)
         overrides = {"oracle_m_max": hi, "scan_m_max": hi}
     report = run_suite(args.suite, config, **overrides)
@@ -466,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run one verification suite")
     p_verify.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p_verify.add_argument("--m", help="restrict the scanned degree range")
+    p_verify.add_argument("--m", help="restrict the scanned degree range (ksets suite only)")
     common(p_verify, "json")
 
     p_scan = sub.add_parser(

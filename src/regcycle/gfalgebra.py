@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .permcore import Permutation, factorize
 
 SUPPORTED_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
@@ -82,6 +84,9 @@ class Field:
         self.e = e
         self._add = add
         self._mul = mul
+        # The same tables as arrays, for lookups on numpy index arrays.
+        self.add_table = np.array(add, dtype=np.int64)
+        self.mul_table = np.array(mul, dtype=np.int64)
         self._neg = neg
         self._inv = inv
         self._frob = frob

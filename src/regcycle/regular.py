@@ -772,11 +772,8 @@ def product_witness(
     g = WreathElement(tuple(perms), top)
     order = g.order()
     out = [0] * copies
-    for cyc in top.cycles(include_fixed=True):
+    for cyc, prod in g.cycle_products():
         r = len(cyc)
-        prod = Permutation.identity(base_degree)
-        for i in cyc:
-            prod = prod * perms[i]
         prod_order = prod.order()
         hint = hints[cyc[0]]
         delta = 0 if hint is None else hint - 1

@@ -385,6 +385,94 @@ class TestVectorActions:
             act.apply(Matrix.identity(f, 2), 0)
 
 
+def check_tuple_contract(act, g, reference) -> None:
+    """The codec, apply, apply_external and induced_images of a tuple action
+    agree on every point, and agree with reference(pt), the image of an
+    external point computed from the element's own definition."""
+    images = act.induced_images(g)
+    for i in range(act.size):
+        pt = act.point(i)
+        j = act.apply(g, i)
+        assert act.index(pt) == i
+        assert images[i] == j
+        image = act.apply_external(g, pt)
+        assert image == act.point(j) == tuple(reference(pt))
+        assert all(type(v) is int for v in image)
+    pt = act.point(act.size - 1)
+    lo, hi = act.offset, act.offset + act.radix - 1
+    for bad in (pt[:-1], pt + (lo,), (hi + 1,) + pt[1:], (lo - 1,) + pt[1:]):
+        with pytest.raises(ValueError):
+            act.index(bad)
+        with pytest.raises(ValueError):
+            act.apply_external(g, bad)
+
+
+def invertible_matrix(data, q: int, d: int) -> Matrix:
+    entries = data.draw(st.lists(st.integers(0, q - 1), min_size=d * d, max_size=d * d))
+    m = Matrix(field_ops(q), d, d, entries)
+    assume(m.is_invertible())
+    return m
+
+
+class TestTupleActionContract:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([(3, 2), (4, 3)]), st.data())
+    def test_product(self, shape, data):
+        d, l = shape
+        comps = [data.draw(perm_strategy(d)) for _ in range(l)]
+        g = WreathElement(comps, data.draw(perm_strategy(l)))
+
+        def reference(pt):
+            # Coordinate i^s receives coordinate i, moved by component i.
+            out = [0] * l
+            for i, v in enumerate(pt):
+                out[g.top.images[i]] = g.components[i].images[v - 1] + 1
+            return out
+
+        check_tuple_contract(ProductAction(d, l), g, reference)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([5, 9]), st.data())
+    def test_vectors(self, q, data):
+        m = invertible_matrix(data, q, 2)
+        check_tuple_contract(VectorsAction(2, q), m, m.vec_mul)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([3, 4]), st.data())
+    def test_affine(self, q, data):
+        lin = invertible_matrix(data, q, 2)
+        shift = data.draw(st.lists(st.integers(0, q - 1), min_size=2, max_size=2))
+        f = AffineMap(lin, tuple(shift))
+        check_tuple_contract(AffineVectorsAction(2, q), f, f.apply)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from([1, 2]), st.data())
+    def test_diagonal(self, alt5_data, copies, data):
+        group, amb = alt5_data.group, alt5_data.automorphisms
+        elements = group.elements
+        assert elements[0].is_identity()
+        sigma = Permutation(tuple(data.draw(st.permutations(range(copies + 1)))))
+        phi = data.draw(st.integers(0, len(amb.coset_reps) - 1))
+        m = data.draw(st.lists(st.integers(0, 59), min_size=copies, max_size=copies))
+        g = DiagonalElement(sigma, phi, tuple(m))
+
+        def reference(pt):
+            # Route the full tuple (1, a_1, ..., a_l) through sigma, divide
+            # slot 0 back to the identity, then apply phi and translate.
+            full = [elements[0]] + [elements[v - 1] for v in pt]
+            beta = [None] * (copies + 1)
+            for i, s in enumerate(sigma.images):
+                beta[s] = full[i]
+            head = beta[0].inverse()
+            rep = amb.coset_reps[phi]
+            return [
+                group.index(amb.apply(rep, head * b) * elements[t]) + 1
+                for b, t in zip(beta[1:], m)
+            ]
+
+        check_tuple_contract(DiagonalAction(alt5_data, copies), g, reference)
+
+
 class TestCosetsAction:
     def test_point_stabilizer_recovers_natural(self):
         group = symmetric_group(4)

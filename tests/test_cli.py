@@ -222,6 +222,13 @@ class TestVerify:
         proc = run_cli("verify", "--suite", "bogus")
         assert proc.returncode == 2
 
+    def test_m_outside_ksets_exit_2(self):
+        proc = run_cli("verify", "--suite", "product", "--m", "3..4")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "--m" in proc.stderr
+
 
 class TestScan:
     def test_single_row(self):
