@@ -83,6 +83,8 @@ class Action:
 
     name: str
     size: int
+    # Whether index-based access can list every point.
+    listable = True
 
     def element_order(self, g) -> int:
         raise NotImplementedError
@@ -290,6 +292,7 @@ class PartitionsAction(Action):
         self.degree = block_size * block_count
         self.size = partitions_count(block_size, block_count)
         self.name = f"partitions:{block_size}:{block_count}"
+        self.listable = self.size <= self._ENUM_CAP
         self._enum: list[tuple[tuple[int, ...], ...]] | None = None
         self._lookup: dict[tuple[tuple[int, ...], ...], int] | None = None
 
@@ -299,7 +302,7 @@ class PartitionsAction(Action):
     def _materialize(self) -> None:
         if self._enum is not None:
             return
-        if self.size > self._ENUM_CAP:
+        if not self.listable:
             raise ValueError(
                 f"{self.name} has {self.size} points; index-based access "
                 f"is capped at {self._ENUM_CAP}"

@@ -265,6 +265,14 @@ def technical_inequality_alphas() -> tuple[Fraction, ...]:
     )
 
 
+def _xlogx_minus_x(j: int):
+    """j(log j - 1) as an interval at the current precision, with 0 log 0 = 0."""
+    if j == 0:
+        return iv.mpf(0)
+    ji = iv.mpf(j)
+    return ji * (iv.log(ji) - 1)
+
+
 def technical_check(
     m: int, p: int, k: int, alpha: Fraction, margin: float = MARGIN
 ) -> CheckLine:
@@ -279,19 +287,13 @@ def technical_check(
     if Fraction(r) > alpha * m:
         raise ValueError("r exceeds alpha * m")
     with _Prec(260):
-        def xlogx_minus_x(j: int):
-            if j == 0:
-                return iv.mpf(0)
-            ji = iv.mpf(j)
-            return ji * (iv.log(ji) - 1)
-
         lhs = (
             iv.mpf(k) * iv.log(iv.mpf(p))
-            + xlogx_minus_x(r)
-            + xlogx_minus_x(k)
-            - xlogx_minus_x(m)
+            + _xlogx_minus_x(r)
+            + _xlogx_minus_x(k)
+            - _xlogx_minus_x(m)
         )
-        rhs = (_ivf(alpha) - 1) / 2 * xlogx_minus_x(m)
+        rhs = (_ivf(alpha) - 1) / 2 * _xlogx_minus_x(m)
         return _compare(f"technical:m={m},p={p},k={k},a={alpha}", lhs, rhs, margin)
 
 
@@ -307,13 +309,8 @@ def technical_sweep(
     lines = []
     with _Prec(260):
         log_p = {p: iv.log(iv.mpf(p)) for p in primes}
-
-        @lru_cache(maxsize=None)
-        def xlx(j: int):
-            if j == 0:
-                return iv.mpf(0)
-            ji = iv.mpf(j)
-            return ji * (iv.log(ji) - 1)
+        # Cached for this sweep only, where every value is at 260 bits.
+        xlx = lru_cache(maxsize=None)(_xlogx_minus_x)
 
         for m in range(lo, hi + 1):
             m_term = xlx(m)
@@ -410,14 +407,14 @@ class AlphaBetaReport:
         return all(r.ok for r in self.rows)
 
 
-def alpha_beta_row(m: int, margin: float = MARGIN,
-                   exact_constant: bool = False) -> AlphaBetaRow:
+def _alpha_beta(m: int, margin: float, exact_constant: bool):
+    """The row for degree m and its interval log(alpha_m * beta_m)."""
     with _Prec(300):
         alpha = _alpha_interval(m)
         log_beta = _log_beta_interval(m, exact_constant)
         total = iv.log(alpha) + log_beta
         line = _compare(f"alpha_beta:{m}", total, iv.mpf(0), margin)
-        return AlphaBetaRow(
+        row = AlphaBetaRow(
             m=m,
             n_value=spanning_count(m),
             alpha_low=float(alpha.a),
@@ -427,6 +424,12 @@ def alpha_beta_row(m: int, margin: float = MARGIN,
             product_log_high=float(total.b),
             status=line.status,
         )
+        return row, total
+
+
+def alpha_beta_row(m: int, margin: float = MARGIN,
+                   exact_constant: bool = False) -> AlphaBetaRow:
+    return _alpha_beta(m, margin, exact_constant)[0]
 
 
 def alpha_beta_scan(lo: int = 47, hi: int = 10**4, margin: float = MARGIN,
@@ -436,36 +439,19 @@ def alpha_beta_scan(lo: int = 47, hi: int = 10**4, margin: float = MARGIN,
     The product is not globally monotone (the spanning count picks up an
     extra factor whenever m crosses a power of 2), so the decreasing check
     runs separately inside each stretch of constant floor(log2 m), from
-    m = 100 up.
+    m = 100 up, on the certified interval of the log product.
     """
     rows = []
-    with _Prec(300):
-        prev_total = None
-        prev_m = None
-        monotone = True
-        for m in range(lo, hi + 1):
-            alpha = _alpha_interval(m)
-            log_beta = _log_beta_interval(m, exact_constant)
-            total = iv.log(alpha) + log_beta
-            line = _compare(f"alpha_beta:{m}", total, iv.mpf(0), margin)
-            rows.append(
-                AlphaBetaRow(
-                    m=m,
-                    n_value=spanning_count(m),
-                    alpha_low=float(alpha.a),
-                    alpha_high=float(alpha.b),
-                    log_beta_low=float(log_beta.a),
-                    log_beta_high=float(log_beta.b),
-                    product_log_high=float(total.b),
-                    status=line.status,
-                )
-            )
-            if m >= 100 and prev_total is not None and prev_m == m - 1:
-                if m.bit_length() == prev_m.bit_length():
-                    if not total.b < prev_total.a:
-                        monotone = False
-            prev_total = total
-            prev_m = m
+    prev_total = None
+    monotone = True
+    for m in range(lo, hi + 1):
+        row, total = _alpha_beta(m, margin, exact_constant)
+        rows.append(row)
+        if m >= 100 and prev_total is not None:
+            if m.bit_length() == (m - 1).bit_length():
+                if not total.b < prev_total.a:
+                    monotone = False
+        prev_total = total
     return AlphaBetaReport(rows=tuple(rows), monotone_within_stretches=monotone)
 
 

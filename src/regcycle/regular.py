@@ -9,6 +9,12 @@ powers are applied from shared squarings of g, so the check never walks the
 orbit. Certification failures raise AssertionError: a construction is never
 allowed to return silently wrong.
 
+`decide` runs the first row of one ordered table, DECIDE_TABLE, that applies
+to the action and element: the two enumerating deciders while the action is
+small enough to list, then the cycle-type rule on k-sets and the constructive
+witness on uniform partitions, which are bounded at any size. An action that
+no row answers raises DomainCapError.
+
 Point values in results are external (1-based or field codes, matching the
 owning action); all internal work is 0-based.
 """
@@ -20,6 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 from typing import Optional, Sequence
@@ -36,11 +43,9 @@ from .actions import (
     ProductAction,
     VectorsAction,
     WreathElement,
-    apply_to_blocks,
     canonical_blocks,
     fixed_count,
     images_order,
-    iter_uniform_partitions,
     orbit_lengths,
     orbit_partition,
     power_images,
@@ -363,6 +368,14 @@ def min_cover(parts: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return s, lengths
 
 
+def _first_cycles(
+    cycles: Sequence[tuple[int, ...]], lengths: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """The first cycle of each length in `lengths` (distinct, as min_cover
+    returns them), in the order of `cycles`."""
+    return [next(cyc for cyc in cycles if len(cyc) == length) for length in lengths]
+
+
 @dataclass(frozen=True)
 class KSetDecision:
     """Cycle-type-level decision for the action on k-element subsets."""
@@ -446,13 +459,7 @@ def kset_witness(g: Permutation, k: int) -> tuple[int, ...]:
         raise ValueError(
             f"no regular cycle on {k}-sets for cycle type {list(ct.parts)}"
         )
-    cycles = g.cycles(include_fixed=True)
-    chosen: list[tuple[int, ...]] = []
-    for length in decision.chosen_lengths:
-        for cyc in cycles:
-            if len(cyc) == length and cyc not in chosen:
-                chosen.append(cyc)
-                break
+    chosen = _first_cycles(g.cycles(include_fixed=True), decision.chosen_lengths)
     s = decision.min_cover_s
     ell = sum(decision.chosen_lengths)
     picked: list[int] = []
@@ -538,56 +545,48 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and factorize(n).prime_powers == ((n, 1),)
 
 
-def _chunks(pool: Sequence[int], size: int) -> list[list[int]]:
-    return [list(pool[i : i + size]) for i in range(0, len(pool), size)]
-
-
-def _first_moved_partition(g: Permutation, a: int, b: int) -> list[list[int]]:
-    """First partition (canonical enumeration order) not fixed by g."""
-    for blocks in iter_uniform_partitions(a, tuple(range(a * b))):
-        if apply_to_blocks(g, blocks) != canonical_blocks(blocks):
-            return [list(blk) for blk in blocks]
-    raise ValueError("every partition is fixed; no moved partition exists")
+def _fill(blocks: list[list[int]], a: int, n: int) -> list[list[int]]:
+    """`blocks`, then the points of 0..n-1 they miss, in ascending chunks of a."""
+    used = {v for blk in blocks for v in blk}
+    pool = [v for v in range(n) if v not in used]
+    return blocks + [pool[i : i + a] for i in range(0, len(pool), a)]
 
 
 def _partition_case_one_cycle(L: int, a: int, b: int) -> list[list[int]]:
-    """Blocks (0-based, standardized labels) when one cycle covers the lcm.
+    """Leading blocks (0-based, standardized labels) when one cycle covers
+    the lcm.
 
     The element is standardized so the covering cycle is (0 1 ... L-1) and
-    the remaining points L..ab-1 are moved in later cycles. L is composite
-    here; the prime case is handled on actual labels by enumeration.
+    the remaining points L..ab-1 are moved in later cycles, whose lengths
+    divide L. L may be prime or composite. For a = L = 2 the first two
+    blocks are {0,2},{1,4}: with {0,2},{1,3} a second transposition (2 3)
+    would map the partition to itself.
     """
-    n = a * b
     if a >= L:
-        first = list(range(L - 1)) + list(range(L, a + 1))
-        rest = [L - 1] + list(range(a + 1, n))
-        return [first] + _chunks(rest, a)
+        if a == L == 2:
+            return [[0, 2], [1, 4]]
+        return [list(range(L - 1)) + list(range(L, a + 1))]
     q, r = divmod(L, a)
     if r >= 1:
-        blocks = [list(range(i * a, (i + 1) * a)) for i in range(q + 1)]
-        blocks += _chunks(list(range((q + 1) * a, n)), a)
-        return blocks
+        return [list(range(i * a, (i + 1) * a)) for i in range(q + 1)]
     if q < b:
         blocks = [list(range(i * a, (i + 1) * a)) for i in range(q - 1)]
         blocks.append(list(range((q - 1) * a, q * a - 1)) + [q * a])
         blocks.append([q * a - 1] + list(range(q * a + 1, (q + 1) * a)))
-        blocks += _chunks(list(range((q + 1) * a, n)), a)
         return blocks
     # q == b: the cycle is an n-cycle.
     if a == 2:
         # b >= 3 here since (2, 2) is excluded upstream.
-        return [[0, 2], [1, 3]] + _chunks(list(range(4, n)), 2)
+        return [[0, 2], [1, 3]]
     first = list(range(1, a - 1)) + [2 * a - 2, 2 * a - 1]
     second = [0] + list(range(a - 1, 2 * a - 2))
-    blocks = [first, second]
-    blocks += [list(range(i * a, (i + 1) * a)) for i in range(2, b)]
-    return blocks
+    return [first, second]
 
 
 def _partition_case_runs(
-    lengths: Sequence[int], a: int, b: int
+    lengths: Sequence[int], starts: Sequence[int], a: int
 ) -> list[list[int]]:
-    """Blocks when s <= a <= sum(len_i - 1): one block of consecutive runs.
+    """Leading block when s <= a <= sum(len_i - 1): consecutive runs.
 
     Run sizes x_i start at 1 and are filled backwards from the last chosen
     cycle, capped at len_i - 1. If the first cycle would be exactly halved
@@ -595,7 +594,6 @@ def _partition_case_runs(
     moved from the first later cycle with a spare unit.
     """
     s = len(lengths)
-    n = a * b
     sizes = [1] * s
     rem = a - s
     for i in range(s - 1, -1, -1):
@@ -608,60 +606,40 @@ def _partition_case_runs(
         sizes[0] += 1
         sizes[donor] -= 1
         assert sizes[0] <= lengths[0] - 1
-    starts = [0]
-    for v in lengths[:-1]:
-        starts.append(starts[-1] + v)
     first: list[int] = []
     for st, x in zip(starts, sizes):
         first.extend(range(st, st + x))
-    used = set(first)
-    pool = [v for v in range(n) if v not in used]
-    return [first] + _chunks(pool, a)
+    return [first]
 
 
 def _partition_case_overflow(
-    lengths: Sequence[int], a: int, b: int
+    lengths: Sequence[int], starts: Sequence[int], a: int
 ) -> list[list[int]]:
-    """Blocks when a > sum(len_i - 1): near-full cycles plus off-support pad."""
-    s = len(lengths)
+    """Leading block when a > sum(len_i - 1): near-full cycles plus
+    off-support pad (the pad alone for the identity)."""
     ell = sum(lengths)
-    n = a * b
-    starts = [0]
-    for v in lengths[:-1]:
-        starts.append(starts[-1] + v)
     first: list[int] = []
     for st, L in zip(starts, lengths):
         first.extend(range(st, st + L - 1))
-    pad = a - (ell - s)
+    pad = a - (ell - len(lengths))
     first.extend(range(ell, ell + pad))
-    used = set(first)
-    pool = [v for v in range(n) if v not in used]
-    return [first] + _chunks(pool, a)
+    return [first]
 
 
-def _partition_case_many_cycles(
-    lengths: Sequence[int], a: int, b: int
-) -> list[list[int]]:
-    """Blocks when a < s: group the chosen cycle minima a at a time.
+def _partition_case_many_cycles(starts: Sequence[int], a: int) -> list[list[int]]:
+    """Leading blocks when a < s: group the chosen cycle minima a at a time.
 
     With s = aq + r, blocks 1..q take the minima of consecutive groups of a
     chosen cycles; when r > 0 an extra block takes the last r minima plus
     the second-smallest point of each of the first a - r chosen cycles.
     """
-    s = len(lengths)
-    n = a * b
-    q, r = divmod(s, a)
-    starts = [0]
-    for v in lengths[:-1]:
-        starts.append(starts[-1] + v)
+    q, r = divmod(len(starts), a)
     blocks = [[starts[i * a + j] for j in range(a)] for i in range(q)]
     if r > 0:
         extra = [starts[q * a + j] for j in range(r)]
         extra += [starts[j] + 1 for j in range(a - r)]
         blocks.append(extra)
-    used = {v for blk in blocks for v in blk}
-    pool = [v for v in range(n) if v not in used]
-    return blocks + _chunks(pool, a)
+    return blocks
 
 
 def partition_witness(
@@ -672,10 +650,12 @@ def partition_witness(
 
     The element is conjugated to a standard form where the chosen
     lcm-covering cycles (ascending lengths) occupy consecutive ascending
-    runs starting at 1; the block system is built there and transported
-    back. Block shape (2, 2) is refused: the only elements of Sym(4) whose
-    order exceeds the largest possible orbit length on the three partitions
-    are the 4-cycles, and those genuinely have no regular cycle.
+    runs starting at 1; the leading blocks are built there, the remaining
+    points fill ascending blocks, and the system is transported back. The
+    cost is polynomial in ab, whatever the order of g. Block shape (2, 2)
+    is refused: on its three partitions a double transposition acts
+    trivially and a 4-cycle has orbits of length at most 2, so neither has
+    a regular cycle.
     """
     if a < 2 or b < 2:
         raise ValueError(f"block shape ({a}, {b}) needs a, b >= 2")
@@ -688,41 +668,22 @@ def partition_witness(
         )
     n = a * b
     s, lengths = min_cover(g.cycle_type().parts)
-
-    if s == 0:
-        return _certified_partition(g, a, b, _chunks(list(range(n)), a))
-
-    if s == 1 and _is_prime(lengths[0]):
-        return _certified_partition(g, a, b, _first_moved_partition(g, a, b))
-
     cycles = g.cycles(include_fixed=True)
-    chosen: list[tuple[int, ...]] = []
-    for length in lengths:
-        for cyc in cycles:
-            if len(cyc) == length and cyc not in chosen:
-                chosen.append(cyc)
-                break
-    ordered = list(chosen) + [cyc for cyc in cycles if cyc not in chosen]
-    std = [0] * n
-    offset = 0
-    for cyc in ordered:
-        for j, pt in enumerate(cyc):
-            std[pt] = offset + j
-        offset += len(cyc)
-    conj = Permutation(tuple(std))
-
-    ell = sum(lengths)
+    chosen = _first_cycles(cycles, lengths)
+    ordered = chosen + [cyc for cyc in cycles if cyc not in chosen]
+    # Standard label i is the point back[i]: cycles become consecutive runs.
+    back = [pt for cyc in ordered for pt in cyc]
+    starts = list(accumulate(lengths, initial=0))[:-1]
     if s == 1:
-        std_blocks = _partition_case_one_cycle(lengths[0], a, b)
+        lead = _partition_case_one_cycle(lengths[0], a, b)
     elif a < s:
-        std_blocks = _partition_case_many_cycles(lengths, a, b)
-    elif a <= ell - s:
-        std_blocks = _partition_case_runs(lengths, a, b)
+        lead = _partition_case_many_cycles(starts, a)
+    elif a <= sum(lengths) - s:
+        lead = _partition_case_runs(lengths, starts, a)
     else:
-        std_blocks = _partition_case_overflow(lengths, a, b)
+        lead = _partition_case_overflow(lengths, starts, a)
 
-    back = conj.inverse().images
-    actual = [[back[v] for v in blk] for blk in std_blocks]
+    actual = [[back[v] for v in blk] for blk in _fill(lead, a, n)]
     return _certified_partition(g, a, b, actual)
 
 
@@ -1035,52 +996,84 @@ def diagonal_fpr_audit(
 FIX_UNION_FACTOR = 4
 
 
-def decide(action: Action, g, domain_cap: int = 10**7) -> Verdict:
-    """Decide with automatic method selection.
+def _kset_combinatorial(action: KSetsAction, g: Permutation) -> Verdict:
+    """Cycle-type decision on k-sets, with a witness built on the smaller
+    side k <= m/2 and complemented back when action.k > m/2."""
+    k = min(action.k, action.degree - action.k)
+    decision = kset_decide(g.cycle_type(), k)
+    witness = None
+    flags: tuple[str, ...] = ("cycle_type_decision",)
+    if decision.has_regular_cycle:
+        small = kset_witness(g, k)
+        if action.k == k:
+            witness = list(small)
+        else:
+            # Complementation is a g-equivariant bijection of k-sets
+            # onto (m-k)-sets, so orbit lengths carry over.
+            inside = set(small)
+            witness = [v for v in range(1, action.degree + 1) if v not in inside]
+            flags = flags + ("complement_dual",)
+    order = g.order()
+    return _verdict(
+        action,
+        g,
+        "kset_combinatorial",
+        order,
+        order,
+        decision.has_regular_cycle,
+        witness,
+        flags,
+    )
 
-    Full enumeration under the cap; the fixed-set-union decider up to a
-    small multiple of the cap (its arrays are flat and cheaper than orbit
-    bookkeeping); beyond that a cycle-type decision when the action is on
-    k-sets of a permutation. Anything else raises DomainCapError.
+
+def _constructive_proof(action: PartitionsAction, g: Permutation) -> Verdict:
+    """The certified partition_witness: every shape but 2x2 has one."""
+    witness = partition_witness(g, action.block_size, action.block_count)
+    order = g.order()
+    return _verdict(
+        action, g, "constructive_proof", order, order, True, [list(b) for b in witness]
+    )
+
+
+def _listed_within(factor: int):
+    """Row condition: the action can list its points, at most factor * cap."""
+    return lambda action, g, cap: action.listable and action.size <= factor * cap
+
+
+def _kset_applies(action: Action, g, cap: int) -> bool:
+    return isinstance(action, KSetsAction) and isinstance(g, Permutation)
+
+
+def _partition_applies(action: Action, g, cap: int) -> bool:
+    return (
+        isinstance(action, PartitionsAction)
+        and isinstance(g, Permutation)
+        and (action.block_size, action.block_count) != (2, 2)
+    )
+
+
+# (method, applies(action, g, cap), run(action, g)), in order of preference:
+# decide runs the first row that applies.
+DECIDE_TABLE = (
+    ("bruteforce", _listed_within(1), decide_bruteforce),
+    ("fix_union", _listed_within(FIX_UNION_FACTOR), decide_fix_union),
+    ("kset_combinatorial", _kset_applies, _kset_combinatorial),
+    ("constructive_proof", _partition_applies, _constructive_proof),
+)
+
+
+def decide(action: Action, g, domain_cap: int = 10**7) -> Verdict:
+    """Decide with the first row of DECIDE_TABLE that applies.
+
+    Full enumeration under the cap; the fixed-set-union decider up to
+    FIX_UNION_FACTOR times the cap (its arrays are flat and cheaper than
+    orbit bookkeeping); past that, at any size, the cycle-type decision on
+    k-sets of a permutation and the constructive witness on uniform
+    partitions of a permutation. Anything else raises DomainCapError.
     """
-    if action.size <= domain_cap:
-        return decide_bruteforce(action, g)
-    if action.size <= FIX_UNION_FACTOR * domain_cap:
-        return decide_fix_union(action, g)
-    if isinstance(action, KSetsAction) and isinstance(g, Permutation):
-        ct = g.cycle_type()
-        k = min(action.k, action.degree - action.k)
-        if k == 0:
-            return _verdict(
-                action,
-                g,
-                "kset_combinatorial",
-                g.order(),
-                1,
-                g.order() == 1,
-                flags=("trivial_action",),
-            )
-        decision = kset_decide(ct, k)
-        witness = None
-        flags: tuple[str, ...] = ("cycle_type_decision",)
-        if decision.has_regular_cycle:
-            small = kset_witness(g, k)
-            if action.k == k:
-                witness = list(small)
-            else:
-                # Complementation is a g-equivariant bijection of k-sets
-                # onto (m-k)-sets, so orbit lengths carry over.
-                inside = set(small)
-                witness = [v for v in range(1, action.degree + 1) if v not in inside]
-                flags = flags + ("complement_dual",)
-        return _verdict(
-            action,
-            g,
-            "kset_combinatorial",
-            g.order(),
-            g.order(),
-            decision.has_regular_cycle,
-            witness,
-            flags,
-        )
+    if domain_cap < 1:
+        raise ValueError("domain_cap must be positive")
+    for _method, applies, run in DECIDE_TABLE:
+        if applies(action, g, domain_cap):
+            return run(action, g)
     raise DomainCapError(action.size, domain_cap)

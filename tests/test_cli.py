@@ -1,10 +1,17 @@
-"""End-to-end tests of the command-line interface via subprocess."""
+"""End-to-end tests of the command-line interface, via subprocess, and of
+the README's decide examples through cli.main."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from regcycle import cli
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args):
@@ -92,6 +99,31 @@ class TestDecide:
         assert payload["method"] == "kset_combinatorial"
         assert payload["verdict"] is True
         assert len(payload["witness"]) == 15
+
+    def test_partitions_4x4_past_enumeration(self):
+        proc = run_cli(
+            "decide", "--group", "sym:16",
+            "--element", "(1 2 3)",
+            "--action", "partitions:4x4",
+        )
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["verdict"] is True
+        assert payload["certified"] is True
+        assert len(payload["witness"]) == 4
+
+    def test_partitions_3x10_past_cap(self):
+        proc = run_cli(
+            "decide", "--group", "sym:30",
+            "--element", "(1 2)",
+            "--action", "partitions:3x10",
+        )
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["method"] == "constructive_proof"
+        assert payload["verdict"] is True
+        assert payload["certified"] is True
+        assert len(payload["witness"]) == 10
 
     def test_tsv_output(self):
         proc = run_cli(
@@ -199,6 +231,28 @@ class TestDecide:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def readme_decide_examples() -> list[list[str]]:
+    """The arguments after `decide` of each README decide example."""
+    prefix = ["python", "-m", "regcycle", "decide"]
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return [
+        argv[len(prefix):]
+        for argv in map(shlex.split, text.splitlines())
+        if argv[: len(prefix)] == prefix
+    ]
+
+
+class TestReadmeExamples:
+    def test_decide_stdout_matches_reference(self, capsys):
+        with open(ROOT / "bench" / "cli_reference.json", encoding="utf-8") as fh:
+            reference = json.load(fh)
+        examples = readme_decide_examples()
+        assert sorted(" ".join(ex) for ex in examples) == sorted(reference)
+        for example in examples:
+            assert cli.main(["decide", *example]) == 0
+            assert capsys.readouterr().out == reference[" ".join(example)], example
 
 
 class TestVerify:

@@ -43,6 +43,8 @@ from regcycle.regular import (
     CASE_CONSECUTIVE_RUNS,
     CASE_IMPOSSIBLE,
     CASE_PADDED_NEAR_FULL,
+    DECIDE_TABLE,
+    METHODS,
     DomainCapError,
     PartitionCaseError,
     Verdict,
@@ -117,6 +119,21 @@ def partition_orbit_length(g: Permutation, blocks) -> int:
         n += 1
         assert n <= 10**6
     return n
+
+
+def assert_regular_partition(g: Permutation, blocks, a: int, b: int) -> None:
+    """Independent oracle: blocks partition 1..ab into b blocks of size a,
+    and no g^(o/p), p a prime dividing o = |g|, maps them to themselves."""
+    assert len(blocks) == b and all(len(blk) == a for blk in blocks)
+    assert sorted(v for blk in blocks for v in blk) == list(range(1, a * b + 1))
+    order = g.order()
+    start = frozenset(frozenset(blk) for blk in blocks)
+    for p in range(2, order + 1):
+        if order % p or any(p % d == 0 for d in range(2, p)):
+            continue
+        h = (g ** (order // p)).images
+        image = frozenset(frozenset(h[v - 1] + 1 for v in blk) for blk in start)
+        assert image != start, f"fixed by g^({order}/{p})"
 
 
 def tuple_orbit_length(g: WreathElement, w: tuple[int, ...]) -> int:
@@ -439,14 +456,15 @@ class TestCertifyRegular:
         order = g.order()
         assert order == 4620
         w = partition_witness(g, 3, 10)
-        assert len(w) == 10 and all(len(blk) == 3 for blk in w)
-        assert sorted(v for blk in w for v in blk) == list(range(1, 31))
-        blocks = frozenset(frozenset(blk) for blk in w)
-        for p in (2, 3, 5, 7, 11):
-            h = g ** (order // p)
-            image = frozenset(frozenset(h.images[v - 1] + 1 for v in blk) for blk in w)
-            assert image != blocks, p
+        assert_regular_partition(g, w, 3, 10)
         assert partition_orbit_length(g, w) == order
+
+    def test_partition_transposition_3x10_in_bounded_time(self):
+        g = parse_cycles("(1 2)", 30)
+        start = time.perf_counter()
+        w = partition_witness(g, 3, 10)
+        assert time.perf_counter() - start < 1
+        assert_regular_partition(g, w, 3, 10)
 
 
 class TestCycleRatioStats:
@@ -922,4 +940,35 @@ class TestDecideAuto:
     def test_cap_error(self):
         g = parse_cycles("(1 2)", 30)
         with pytest.raises(DomainCapError):
-            decide(PartitionsAction(3, 10), g, domain_cap=10**3)
+            decide(NaturalAction(30), g, domain_cap=5)
+
+    def test_cap_must_be_positive(self):
+        with pytest.raises(ValueError):
+            decide(NaturalAction(6), parse_cycles("(1 2)", 6), domain_cap=0)
+
+    @pytest.mark.parametrize(
+        "parts, a, b, cap",
+        [
+            ((11, 7, 5, 4, 3), 3, 10, 10**7),
+            ((2, 2, 2), 2, 5, 10),
+            ((3,), 4, 4, 10**7),
+            ((6, 4, 3, 2), 6, 3, 10**7),
+            ((2, 2), 2, 9, 10**7),
+        ],
+    )
+    def test_partitions_past_cap_use_constructive_proof(self, parts, a, b, cap):
+        g = canonical_of_type(tuple(parts) + (1,) * (a * b - sum(parts)))
+        action = PartitionsAction(a, b)
+        v = decide(action, g, domain_cap=cap)
+        assert v.method == "constructive_proof" and v.certified
+        assert v.has_regular_cycle and v.induced_order == v.group_order_of_g
+        assert_regular_partition(g, v.witness, a, b)
+
+    def test_table_methods_are_known(self):
+        assert [row[0] for row in DECIDE_TABLE] == [
+            "bruteforce",
+            "fix_union",
+            "kset_combinatorial",
+            "constructive_proof",
+        ]
+        assert all(method in METHODS for method, _, _ in DECIDE_TABLE)
