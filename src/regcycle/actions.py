@@ -16,6 +16,14 @@ points are little-endian digit tuples, and each writes its map once, as
 arrays. `TupleAction` derives the point codec, `apply`, `apply_external`
 and `induced_images` from that one formula.
 
+The k-set and partition actions build their image arrays from tables of
+their whole point listing: all k-subsets in colex order, and all uniform
+partitions with their sorted keys. Each table is built on the first call
+that needs it, never in the constructor, so an action used only through
+`apply_external` never pays for it. `induced_images` returns an int64
+ndarray on these and on the tuple actions, and a list on the natural and
+coset actions.
+
 All actions are right actions: apply(g * h, i) == apply(h, apply(g, i)).
 """
 
@@ -23,7 +31,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -160,24 +167,36 @@ def _colex_rank(combo: Sequence[int]) -> int:
     return sum(math.comb(v, i + 1) for i, v in enumerate(combo))
 
 
-def _colex_combinations(degree: int, k: int):
-    """All k-subsets of range(degree) in colexicographic order."""
-    combo = list(range(k))
-    last = degree - k + 1
-    while True:
-        yield combo
-        i = 0
-        while i + 1 < k and combo[i] + 1 == combo[i + 1]:
-            i += 1
-        if i == k - 1 and combo[i] + 1 == degree:
-            return
-        combo[i] += 1
-        for j in range(i):
-            combo[j] = j
+def _colex_combinations(degree: int, k: int) -> np.ndarray:
+    """All k-subsets of range(degree) in colexicographic order, one
+    ascending row each, as a small-int array of shape (C(degree, k), k).
+
+    The colex listing of the j-subsets of range(t) is a prefix of the
+    listing for any larger range. So the j-subsets are, for each top
+    element t in turn, the first C(t, j - 1) rows of the (j - 1)-subsets
+    with t appended. The j smallest points of a k-subset lie below
+    degree - k + j, so level j lists only those, and no level is longer
+    than the last.
+    """
+    rows = np.zeros((1, 0), dtype=np.min_scalar_type(max(degree - 1, 0)))
+    for j in range(1, k + 1):
+        tops = np.arange(j - 1, degree - k + j)
+        counts = [math.comb(int(t), j - 1) for t in tops]
+        prefixes = np.concatenate([np.arange(c) for c in counts])
+        rows = np.column_stack(
+            [rows[prefixes], np.repeat(tops, counts).astype(rows.dtype)]
+        )
+    return rows
 
 
 class KSetsAction(Action):
-    """Action on k-element subsets of {1..degree}, indexed in colex order."""
+    """Action on k-element subsets of {1..degree}, indexed in colex order.
+
+    induced_images returns an int64 ndarray. It gathers g's images through
+    the matrix of all k-subsets in colex order, sorts each row, and ranks
+    the rows from a binomial table; both tables are built on the first
+    call, so an action that is never listed never builds them.
+    """
 
     def __init__(self, degree: int, k: int):
         if degree < 1:
@@ -188,6 +207,8 @@ class KSetsAction(Action):
         self.k = k
         self.size = math.comb(degree, k)
         self.name = f"ksets:{degree}:{k}"
+        self._combos: np.ndarray | None = None
+        self._binom: np.ndarray | None = None
 
     def element_order(self, g: Permutation) -> int:
         return g.order()
@@ -207,12 +228,21 @@ class KSetsAction(Action):
         out.reverse()
         return tuple(out)
 
-    def induced_images(self, g: Permutation) -> Sequence[int]:
-        imgs = g.images
-        return [
-            _colex_rank(sorted(imgs[v] for v in combo))
-            for combo in _colex_combinations(self.degree, self.k)
-        ]
+    def induced_images(self, g: Permutation) -> np.ndarray:
+        if self._combos is None:
+            n, k = self.degree, self.k
+            self._combos = _colex_combinations(n, k)
+            # Entry [v, i] is C(v, i + 1), the term of the i-th smallest
+            # point v in a colex rank. That point is at most n - k + i, and
+            # larger entries, which may not fit an int64, are never read.
+            self._binom = np.array(
+                [[math.comb(v, i + 1) if v - i <= n - k else 0 for i in range(k)]
+                 for v in range(n)],
+                dtype=np.int64,
+            )
+        rows = np.asarray(g.images, dtype=self._combos.dtype)[self._combos]
+        rows.sort(axis=1)
+        return self._binom[rows, np.arange(self.k)].sum(axis=1)
 
     def point(self, idx: int) -> tuple[int, ...]:
         return tuple(v + 1 for v in self._unrank(idx))
@@ -253,33 +283,48 @@ def apply_to_blocks(
     return canonical_blocks([imgs[v] for v in block] for block in blocks)
 
 
-def iter_uniform_partitions(block_size: int, points: tuple[int, ...]):
-    """All partitions of `points` into blocks of `block_size`, lazily.
+def _uniform_partitions_array(block_size: int, block_count: int) -> np.ndarray:
+    """The partitions of range(block_size * block_count) in canonical
+    order, as a small-int array (count, block_count, block_size).
 
-    Canonical order: each block is anchored at the smallest remaining point,
-    and anchored blocks are emitted in lexicographic order, so the whole
-    stream is deterministic.
+    Canonical order anchors each block at the smallest point left and lists
+    the anchored blocks in lexicographic order. So the partitions of
+    range(m) are, for each first block {0} + c with c an ascending
+    (block_size - 1)-subset of 1..m-1 in lexicographic order, that block
+    followed by the partitions of range(m - block_size) mapped onto the
+    points c leaves, in ascending order. The lexicographic listing is the
+    colex listing of the reflected subsets x -> m - 1 - x, read backwards.
     """
-    if not points:
-        yield ()
-        return
-    first = points[0]
-    rest = points[1:]
-    for comb in combinations(rest, block_size - 1):
-        block = (first,) + comb
-        taken = set(comb)
-        remaining = tuple(p for p in rest if p not in taken)
-        for tail in iter_uniform_partitions(block_size, remaining):
-            yield (block,) + tail
+    a = block_size
+    dtype = np.min_scalar_type(a * block_count - 1)
+    parts = np.zeros((1, 0), dtype=dtype)
+    for m in range(a, a * block_count + 1, a):
+        firsts = (m - 1 - _colex_combinations(m - 1, a - 1))[::-1, ::-1].astype(dtype)
+        firsts = np.column_stack([np.zeros(len(firsts), dtype=dtype), firsts])
+        free = np.ones((len(firsts), m), dtype=bool)
+        np.put_along_axis(free, firsts.astype(np.intp), False, axis=1)
+        rest = (np.flatnonzero(free) % m).astype(dtype).reshape(len(firsts), m - a)
+        tails = rest[:, parts]
+        heads = np.broadcast_to(firsts[:, None, :], (*tails.shape[:2], a))
+        parts = np.concatenate([heads, tails], axis=2).reshape(-1, m)
+    return parts.reshape(-1, block_count, a)
 
 
 class PartitionsAction(Action):
     """Action on partitions of {1..a*b} into b unordered blocks of size a.
 
     Partitions are stored canonically: each block sorted ascending, blocks
-    ordered by their minimum. Index-based access enumerates all partitions
-    lazily, so it only works while the count stays below an internal cap;
-    apply_external works at any scale.
+    ordered by their minimum. Index-based access works only while the count
+    stays below an internal cap; apply_external works at any scale.
+
+    The listing is a small-int array (size, b, a), built on first use
+    together with the sorted keys of its partitions. The key gives point x
+    the weight b**x and labels each block by the rank of its weight sum,
+    which is the rank of its largest point: it is the base-b string of
+    block labels, sum over x of label(x) * b**x. induced_images keys the
+    image of every listed partition at once and looks the keys up with
+    np.searchsorted, so it returns an int64 ndarray; index looks up one key
+    the same way.
     """
 
     _ENUM_CAP = 2_000_000
@@ -293,8 +338,10 @@ class PartitionsAction(Action):
         self.size = partitions_count(block_size, block_count)
         self.name = f"partitions:{block_size}:{block_count}"
         self.listable = self.size <= self._ENUM_CAP
-        self._enum: list[tuple[tuple[int, ...], ...]] | None = None
-        self._lookup: dict[tuple[tuple[int, ...], ...], int] | None = None
+        self._enum: np.ndarray | None = None
+        self._weights: np.ndarray | None = None
+        self._sorted_keys: np.ndarray | None = None
+        self._key_order: np.ndarray | None = None
 
     def element_order(self, g: Permutation) -> int:
         return g.order()
@@ -307,24 +354,40 @@ class PartitionsAction(Action):
                 f"{self.name} has {self.size} points; index-based access "
                 f"is capped at {self._ENUM_CAP}"
             )
-        enum = list(iter_uniform_partitions(self.block_size, tuple(range(self.degree))))
-        self._enum = enum
-        self._lookup = {p: i for i, p in enumerate(enum)}
+        self._enum = _uniform_partitions_array(self.block_size, self.block_count)
+        self._weights = self.block_count ** np.arange(self.degree, dtype=np.int64)
+        keys = self._keys(self._weights, self._enum)
+        self._key_order = np.argsort(keys)
+        self._sorted_keys = keys[self._key_order]
 
-    def induced_images(self, g: Permutation) -> Sequence[int]:
+    def _keys(self, weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        """Keys of the partitions (rows, b, a) of 0-based points when point
+        x weighs weights[x]: b**x for the partitions themselves, b**(x^g)
+        for their images under g."""
+        sums = weights[blocks[:, :, 0]]
+        for i in range(1, self.block_size):
+            sums += weights[blocks[:, :, i]]
+        sums.sort(axis=1)
+        return sums @ np.arange(self.block_count, dtype=np.int64)
+
+    def _index_of_keys(self, keys: np.ndarray) -> np.ndarray:
+        return self._key_order[np.searchsorted(self._sorted_keys, keys)]
+
+    def induced_images(self, g: Permutation) -> np.ndarray:
         self._materialize()
-        lookup = self._lookup
-        return [lookup[apply_to_blocks(g, blocks)] for blocks in self._enum]
+        weights = self._weights[np.asarray(g.images)]
+        return self._index_of_keys(self._keys(weights, self._enum))
 
     def point(self, idx: int) -> tuple[tuple[int, ...], ...]:
         self._materialize()
-        return tuple(tuple(v + 1 for v in block) for block in self._enum[idx])
+        return tuple(tuple(v + 1 for v in block) for block in self._enum[idx].tolist())
 
     def index(self, pt: Iterable[Iterable[int]]) -> int:
         self._materialize()
         internal = canonical_blocks([v - 1 for v in block] for block in pt)
         self._validate(internal)
-        return self._lookup[internal]
+        key = self._keys(self._weights, np.array([internal]))
+        return int(self._index_of_keys(key)[0])
 
     def _validate(self, internal: tuple[tuple[int, ...], ...]) -> None:
         flat = [v for block in internal for v in block]
@@ -763,7 +826,8 @@ class DiagonalAction(TupleAction):
 
     def element_order(self, g: DiagonalElement) -> int:
         # The action is faithful for a centerless target, so the element
-        # order equals the induced order.
+        # order equals the induced order. This builds and walks the whole
+        # image array; the deciders take the order from their own walk.
         return images_order(self.induced_images(g))
 
     def move(self, g: DiagonalElement, digits: list) -> list:

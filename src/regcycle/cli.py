@@ -49,6 +49,7 @@ from .regular import DomainCapError, decide
 from .verify import (
     RunConfig,
     SUITES,
+    ScanCapError,
     run_suite,
     scan_ksets,
     scan_partitions,
@@ -363,7 +364,11 @@ def cmd_verify(args, config: RunConfig) -> int:
     if args.m and args.suite != "ksets":
         raise SpecError(f"--m applies only to --suite ksets, not {args.suite}")
     if args.m:
-        _, hi = _parse_range(args.m)
+        lo, hi = _parse_range(args.m)
+        if lo != 2:
+            raise SpecError(
+                f"--m {args.m}: the ksets oracle starts at m = 2; use --m 2..{hi}"
+            )
         overrides = {"oracle_m_max": hi, "scan_m_max": hi}
     report = run_suite(args.suite, config, **overrides)
     if config.output == "json":
@@ -391,7 +396,7 @@ def _format_type(parts: tuple[int, ...]) -> str:
 
 def cmd_scan(args, config: RunConfig) -> int:
     head, _, rest = args.action.partition(":")
-    print("m\taction\ttype\torder\tcover\tnote")
+    header = "m\taction\ttype\torder\tcover\tnote"
     if head == "ksets":
         k = _int(rest, args.action)
         if not args.m:
@@ -399,6 +404,7 @@ def cmd_scan(args, config: RunConfig) -> int:
         lo, hi = _parse_range(args.m)
         if lo < 2 * k:
             raise SpecError(f"need m >= 2k = {2 * k}")
+        print(header)
         for m in range(lo, hi + 1):
             for row in scan_ksets(m, k):
                 print(
@@ -412,7 +418,14 @@ def cmd_scan(args, config: RunConfig) -> int:
             lo, hi = _parse_range(args.m)
             if lo != a * b or hi != a * b:
                 raise SpecError(f"shape {a}x{b} forces m = {a * b}")
-        for row in scan_partitions(a, b):
+        try:
+            rows = scan_partitions(a, b)
+        except ScanCapError:
+            raise
+        except ValueError as exc:
+            raise SpecError(str(exc)) from None
+        print(header)
+        for row in rows:
             print(
                 f"{a * b}\tpartitions:{a}x{b}\t{_format_type(row.parts)}\t"
                 f"{row.order}\t{row.covering_size}\t{row.note}"
@@ -512,7 +525,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SpecError as exc:
         print(f"regcycle: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainCapError, ClosureCapError) as exc:
+    except (DomainCapError, ClosureCapError, ScanCapError) as exc:
         print(f"regcycle: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except AssertionError as exc:

@@ -204,15 +204,28 @@ def certify_regular(action: Action, g, pt, order: int) -> None:
             raise AssertionError(f"g^({order}/{p}) fixes the point {pt}")
 
 
+def _images_and_orbits(action: Action, g):
+    """(images, orbits, element order, induced order) of g on action, from
+    one image build and one walk of it.
+
+    The diagonal actions are faithful (their targets are centerless), so
+    a diagonal element's order is its induced order, read off the walk.
+    """
+    images = action.induced_images(g)
+    orbits = orbit_partition(images)
+    induced = math.lcm(*{len(orbit) for orbit in orbits})
+    if isinstance(action, DiagonalAction):
+        return images, orbits, induced, induced
+    return images, orbits, action.element_order(g), induced
+
+
 def decide_bruteforce(action: Action, g) -> Verdict:
     """Enumerate all orbits; report the first regular one if any.
 
     The witness, when present, is the smallest-index point (in the action's
     point order) whose orbit is regular. Always certified.
     """
-    order = action.element_order(g)
-    orbits = orbit_partition(action.induced_images(g))
-    induced = math.lcm(*{len(orbit) for orbit in orbits})
+    _, orbits, order, induced = _images_and_orbits(action, g)
     witness_idx = next((orbit[0] for orbit in orbits if len(orbit) == order), None)
     flags = ("unfaithful",) if induced < order else ()
     witness = action.point_json(witness_idx) if witness_idx is not None else None
@@ -229,14 +242,13 @@ def decide_fix_union(action: Action, g) -> Verdict:
     order) is a certified witness. Identity elements are trivially regular
     on every point.
     """
-    order = action.element_order(g)
+    images, _, order, induced = _images_and_orbits(action, g)
     if order == 1:
         return _verdict(
             action, g, "fix_union", 1, 1, True, action.point_json(0), ("identity",)
         )
-    images = np.asarray(action.induced_images(g), dtype=np.int64)
+    images = np.asarray(images, dtype=np.int64)
     n = action.size
-    induced = images_order(images)
     covered = np.zeros(n, dtype=bool)
     idx = np.arange(n, dtype=np.int64)
     for p in factorize(order).primes:

@@ -856,14 +856,25 @@ def scan_ksets(m: int, k: int) -> list[ScanRow]:
     return rows
 
 
+# The partition scan brute-forces every cycle type up to this degree.
+PARTITION_SCAN_MAX_DEGREE = 12
+
+
+class ScanCapError(ValueError):
+    """A scan asked for a degree past what its brute force is bounded to."""
+
+
 def scan_partitions(a: int, b: int) -> list[ScanRow]:
     """Cycle types of degree a*b with no regular cycle on (a,b)-partitions,
     decided by brute force on one representative per type."""
     m = a * b
     if a < 2 or b < 2:
         raise ValueError(f"block shape ({a}, {b}) needs a, b >= 2")
-    if m > 12:
-        raise ValueError(f"degree {m} too large for exhaustive partition scan")
+    if m > PARTITION_SCAN_MAX_DEGREE:
+        raise ScanCapError(
+            f"degree {m} is past the exhaustive partition scan limit "
+            f"{PARTITION_SCAN_MAX_DEGREE}"
+        )
     action = PartitionsAction(a, b)
     rows = []
     for ct in cycle_types(m):

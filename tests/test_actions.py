@@ -40,6 +40,7 @@ from regcycle.groups import (
     symmetric_group,
 )
 from regcycle.permcore import Permutation, parse_cycles
+from regcycle.regular import decide_bruteforce, decide_fix_union
 
 
 def perm_strategy(n: int):
@@ -223,6 +224,87 @@ class TestPartitions:
             act.index(((1, 2), (3, 3)))
         with pytest.raises(ValueError):
             act.index(((1, 2, 3), (4,)))
+
+
+def colex_reference(degree: int, k: int) -> list[tuple[int, ...]]:
+    """The k-subsets of range(degree) in colex order: by largest point,
+    then by the next largest, and so on."""
+    return sorted(combinations(range(degree), k), key=lambda c: c[::-1])
+
+
+def uniform_partitions_reference(block_size: int, points: tuple[int, ...]):
+    """Partitions of `points` into blocks of block_size in canonical order:
+    each block anchored at the smallest point left, the anchored blocks in
+    lexicographic order."""
+    if not points:
+        yield ()
+        return
+    first, rest = points[0], points[1:]
+    for comb in combinations(rest, block_size - 1):
+        remaining = tuple(p for p in rest if p not in comb)
+        for tail in uniform_partitions_reference(block_size, remaining):
+            yield ((first,) + comb,) + tail
+
+
+def check_listed_contract(act, g) -> None:
+    """induced_images of a k-set or partition action is an int64 array
+    that agrees, on every point, with index(apply_external(g, point(i)))."""
+    images = act.induced_images(g)
+    assert isinstance(images, np.ndarray) and images.dtype == np.int64
+    assert images.shape == (act.size,)
+    for i in range(act.size):
+        assert images[i] == act.index(act.apply_external(g, act.point(i)))
+
+
+class TestListedImageContract:
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([(7, 1), (7, 7), (9, 4), (10, 3), (12, 2)]), st.data())
+    def test_ksets(self, shape, data):
+        n, k = shape
+        check_listed_contract(KSetsAction(n, k), data.draw(perm_strategy(n)))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from([(2, 3), (3, 2), (3, 3), (5, 2), (4, 3)]), st.data())
+    def test_partitions(self, shape, data):
+        a, b = shape
+        check_listed_contract(PartitionsAction(a, b), data.draw(perm_strategy(a * b)))
+
+    @pytest.mark.parametrize("degree", range(1, 10))
+    def test_ksets_table_is_colex(self, degree):
+        # point() unranks on its own, so this checks the table apart from it.
+        for k in range(1, degree + 1):
+            act = KSetsAction(degree, k)
+            act.induced_images(Permutation.identity(degree))
+            assert [tuple(row) for row in act._combos.tolist()] == colex_reference(degree, k)
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (5, 2), (2, 5), (4, 3)]
+    )
+    def test_partition_listing_is_canonical(self, shape):
+        a, b = shape
+        act = PartitionsAction(a, b)
+        expected = [
+            tuple(tuple(v + 1 for v in block) for block in p)
+            for p in uniform_partitions_reference(a, tuple(range(a * b)))
+        ]
+        assert [act.point(i) for i in range(act.size)] == expected
+
+    def test_tables_are_built_on_first_use(self):
+        kset, part = KSetsAction(12, 4), PartitionsAction(3, 3)
+        g = parse_cycles("(1 2 3)", 12)
+        assert kset.apply_external(g, (1, 5, 7, 9)) == (2, 5, 7, 9)
+        assert part.apply_external(g, ((1, 4, 7), (2, 5, 8), (3, 6, 9)))
+        assert kset._combos is None and part._enum is None
+        kset.induced_images(g)
+        part.induced_images(parse_cycles("(1 2 3)", 9))
+        assert kset._combos is not None and part._enum is not None
+        # Past the enumeration cap the action still moves single points.
+        big = PartitionsAction(3, 10)
+        assert not big.listable
+        assert big.apply_external(
+            parse_cycles("(1 2)", 30), [range(i, i + 3) for i in range(1, 31, 3)]
+        )[0] == (1, 2, 3)
+        assert big._enum is None
 
 
 def random_wreath(rng: random.Random, d: int, l: int) -> WreathElement:
@@ -629,3 +711,20 @@ class TestDiagonal:
         g = act.translation((Permutation.identity(5), t))
         # Right translation by an order-n element has order n.
         assert act.element_order(g) == t.order()
+
+    @pytest.mark.parametrize("decider", [decide_bruteforce, decide_fix_union])
+    def test_one_image_build_per_decider_call(self, alt5_data, monkeypatch, decider):
+        act = DiagonalAction(alt5_data, 2)
+        g = DiagonalElement(Permutation((1, 2, 0)), 7, (5, 17))
+        expected = act.element_order(g)
+        build = DiagonalAction.induced_images
+        calls = []
+
+        def counted(self, elem):
+            calls.append(elem)
+            return build(self, elem)
+
+        monkeypatch.setattr(DiagonalAction, "induced_images", counted)
+        verdict = decider(act, g)
+        assert calls == [g]
+        assert verdict.group_order_of_g == expected

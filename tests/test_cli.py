@@ -283,6 +283,14 @@ class TestVerify:
         assert len(proc.stderr.strip().splitlines()) == 1
         assert "--m" in proc.stderr
 
+    @pytest.mark.parametrize("m", ["3..12", "10..12", "12"])
+    def test_ksets_m_must_start_at_2(self, m):
+        proc = run_cli("verify", "--suite", "ksets", "--m", m)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "starts at m = 2" in proc.stderr
+
 
 class TestScan:
     def test_single_row(self):
@@ -309,6 +317,16 @@ class TestScan:
     def test_shape_mismatch_exit_2(self):
         proc = run_cli("scan", "--action", "partitions:2x3", "--m", "8")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "shape, code", [("1x4", 2), ("4x1", 2), ("4x4", 3), ("2x7", 3)]
+    )
+    def test_partition_shape_out_of_scan_range(self, shape, code):
+        proc = run_cli("scan", "--action", f"partitions:{shape}")
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "Traceback" not in proc.stderr
 
 
 class TestBounds:
