@@ -26,21 +26,6 @@ from .actions import (
     orbit_partition,
     realize_diagonal_group,
 )
-from .bounds import (
-    alpha_beta_row,
-    alpha_beta_scan,
-    diagonal_crude_bound,
-    e8_sweep,
-    group_profile,
-    landau_exact,
-    massias_sweep,
-    robin_check,
-    robin_sweep,
-    spanning_count,
-    stirling_sweep,
-    technical_sweep,
-    wreath_case_bound,
-)
 from .gfalgebra import AffineMap, Field, Matrix, field_ops
 from .groups import (
     ClosureCapError,
@@ -96,6 +81,33 @@ from .verify import (
     scan_ksets,
     scan_partitions,
 )
+
+# The bound sweeps load mpmath, which decide and scan never need: their
+# names resolve from regcycle.bounds on first access.
+_BOUNDS_NAMES = frozenset({
+    "alpha_beta_row",
+    "alpha_beta_scan",
+    "diagonal_crude_bound",
+    "e8_sweep",
+    "group_profile",
+    "landau_exact",
+    "massias_sweep",
+    "robin_check",
+    "robin_sweep",
+    "spanning_count",
+    "stirling_sweep",
+    "technical_sweep",
+    "wreath_case_bound",
+})
+
+
+def __getattr__(name: str):
+    if name in _BOUNDS_NAMES:
+        from . import bounds
+
+        return getattr(bounds, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Action",

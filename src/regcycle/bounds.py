@@ -7,6 +7,19 @@ a certified gap of at least the stated margin; "fail" means the claim is
 certainly violated; anything the intervals cannot separate is
 "inconclusive". Wide sweeps over n use vectorized float64 with a
 conservative error allowance folded into the reported gap.
+
+Two checks filter cheaply first and escalate only what the filter cannot
+decide (the adaptive scheme of Shewchuk 1997), so every line they return is
+the one the full interval evaluation gives:
+- technical_sweep evaluates each degree's whole grid in float64, with an
+  allowance of TECHNICAL_ALLOWANCE times (the sum of the term magnitudes
+  + 1). Only points whose float gap less the allowance is below the margin,
+  and the candidates for the worst point of each (m, alpha), go on to the
+  260-bit interval comparison.
+- stirling_check certifies the factorial brackets (Robbins 1955) in the
+  log domain at 260 bits once both linear gaps certainly overflow a double;
+  otherwise it escalates to the linear-scale comparison at the precision
+  of n!.
 """
 
 from __future__ import annotations
@@ -25,6 +38,12 @@ from mpmath import iv
 from .permcore import factorize, primes_upto
 
 MARGIN = 1e-9
+
+# The float filter of technical_sweep: a float64 gap differs from the
+# certified interval gap by at most this times (the sum of the magnitudes
+# of its terms + 1). numpy's log is good to a few ulp (2^-52), so the
+# allowance is more than a thousand times the float error.
+TECHNICAL_ALLOWANCE = 2.0**-40
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -121,6 +140,25 @@ def omega(n: int) -> int:
     return len(factorize(n).primes)
 
 
+def _omega_block(lo: int, hi: int) -> np.ndarray:
+    """omega(n) for n = lo..hi (lo >= 1), as int8.
+
+    Primes up to the block length get one strided slice each; every larger
+    prime has at most one multiple in the block, so those are added in one
+    vectorized pass (np.add.at, as two of them may divide the same n).
+    """
+    size = hi - lo + 1
+    counts = np.zeros(size, dtype=np.int8)
+    primes = primes_upto(hi)
+    small = primes_upto(size)
+    for p in small:
+        counts[-lo % p::p] += 1
+    large = np.array(primes[len(small):], dtype=np.int64)
+    first = -(-lo // large) * large
+    np.add.at(counts, first[first <= hi] - lo, 1)
+    return counts
+
+
 def robin_check(n: int, margin: float = MARGIN) -> CheckLine:
     """omega(n) < log n / (log log n - shift), valid from n = 26."""
     if n < ROBIN_MIN_N:
@@ -142,11 +180,8 @@ def robin_sweep(lo: int = ROBIN_MIN_N, hi: int = 10**6,
     """
     if lo < ROBIN_MIN_N:
         raise ValueError(f"bound valid for n >= {ROBIN_MIN_N}")
-    counts = np.zeros(hi + 1, dtype=np.int8)
-    for p in primes_upto(hi):
-        counts[p::p] += 1
     n = np.arange(lo, hi + 1, dtype=np.float64)
-    w = counts[lo:].astype(np.float64)
+    w = _omega_block(lo, hi).astype(np.float64)
     ln = np.log(n)
     rhs = ln / (np.log(ln) - float(ROBIN_SHIFT))
     rhs_low = rhs * (1.0 - 1e-12) - 1e-12
@@ -222,16 +257,39 @@ def massias_sweep(lo: int = 4, hi: int = 200, margin: float = MARGIN) -> SweepRe
 # Factorial brackets
 
 
+def _stirling_gaps_overflow(n: int, fact: int) -> bool:
+    """Both linear gaps of the factorial brackets certainly exceed e 2^1024."""
+    with _Prec(260):
+        ni = iv.mpf(n)
+        log_base = iv.log(2 * iv.pi * ni) / 2 + ni * (iv.log(ni) - 1)
+        log_fact = iv.log(iv.mpf(fact))
+        d_low = log_fact - (log_base + 1 / (12 * ni + 1))
+        d_up = log_base + 1 / (12 * ni) - log_fact
+        if not (d_low.a > 0 and d_up.a > 0):
+            return False
+        floor = (1024 * iv.log(iv.mpf(2)) + 1).b
+        return ((log_fact + iv.log(1 - iv.exp(-d_low))).a > floor
+                and (log_fact + iv.log(d_up)).a > floor)
+
+
 def stirling_check(n: int, margin: float = MARGIN) -> CheckLine:
     """sqrt(2 pi n)(n/e)^n e^(1/(12n+1)) < n! < same with e^(1/(12n)).
 
-    Compared on the linear scale: the logarithmic gap shrinks like
+    The gaps are linear-scale: the logarithmic gap shrinks like
     1/(360 n^3) and drops below any fixed margin near n = 141, while the
-    absolute gap grows without bound.
+    absolute gap grows without bound. Once n! has more than 1100 bits
+    (n >= 181), both linear gaps are first certified in the log domain at
+    260 bits: with log gaps d > 0 they are at least n!(1 - e^-d) and n! d,
+    and when both logarithms exceed 1024 log 2 + 1 the gaps lie beyond the
+    largest double, so the reported gap is inf. Otherwise, and for smaller
+    n, the comparison runs on the linear scale at 1.2 bitlen(n!) + 64 bits.
     """
     if n < 1:
         raise ValueError("n must be positive")
     fact = math.factorial(n)
+    if (fact.bit_length() > 1100 and math.inf >= margin
+            and _stirling_gaps_overflow(n, fact)):
+        return CheckLine(name=f"stirling:{n}", status=STATUS_PASS, gap_low=math.inf)
     bits = max(260, int(1.2 * fact.bit_length()) + 64)
     with _Prec(bits):
         ni = iv.mpf(n)
@@ -273,6 +331,11 @@ def _xlogx_minus_x(j: int):
     return ji * (iv.log(ji) - 1)
 
 
+def _xlogx_minus_x_float(j: np.ndarray) -> np.ndarray:
+    """j(log j - 1) in float64 for an integer array, with 0 log 0 = 0."""
+    return j * (np.log(np.maximum(j, 1)) - 1)
+
+
 def technical_check(
     m: int, p: int, k: int, alpha: Fraction, margin: float = MARGIN
 ) -> CheckLine:
@@ -304,8 +367,21 @@ def technical_sweep(
     alphas: Optional[Sequence[Fraction]] = None,
     margin: float = MARGIN,
 ) -> SweepReport:
+    """technical_check at every grid point (m, alpha, p, k) with kp <= m and
+    r <= alpha m, keeping the worst line of each (m, alpha) (the first one
+    on ties) and every line that is not a pass.
+
+    Each degree m is filtered in float64 over the whole (alpha, p, k) grid.
+    A point goes to the interval comparison only if its float gap, less
+    TECHNICAL_ALLOWANCE, is below the margin (it may not pass) or at most
+    the smallest float gap plus the allowance (it may be the worst); every
+    other point certainly passes and is certainly not the worst.
+    """
     if alphas is None:
         alphas = technical_inequality_alphas()
+    num = np.array([a.numerator for a in alphas], dtype=np.int64)[:, None]
+    den = np.array([a.denominator for a in alphas], dtype=np.int64)[:, None]
+    half = np.array([float((a - 1) / 2) for a in alphas])[:, None]
     lines = []
     with _Prec(260):
         log_p = {p: iv.log(iv.mpf(p)) for p in primes}
@@ -313,28 +389,50 @@ def technical_sweep(
         xlx = lru_cache(maxsize=None)(_xlogx_minus_x)
 
         for m in range(lo, hi + 1):
+            pk = [(p, k) for p in primes for k in range(1, m // p + 1)]
+            if not pk:
+                continue
+            p_arr, k_arr = np.array(pk, dtype=np.int64).T
+            r_arr = m - k_arr * p_arr
+            m_float = _xlogx_minus_x_float(np.int64(m))
+            terms = (
+                k_arr * np.log(p_arr),
+                _xlogx_minus_x_float(r_arr),
+                _xlogx_minus_x_float(k_arr),
+                -m_float,
+            )
+            rhs_float = half * m_float
+            gaps = rhs_float - sum(terms)
+            allowance = TECHNICAL_ALLOWANCE * (
+                sum(np.abs(t) for t in terms) + np.abs(rhs_float) + 1
+            )
+            kept = r_arr * den <= num * m
+            low = np.where(kept, gaps - allowance, np.inf)
+            high = np.where(kept, gaps + allowance, np.inf)
+            escalate = kept & (
+                ~(low >= margin) | (low <= high.min(axis=1, keepdims=True))
+            )
+
             m_term = xlx(m)
-            for alpha in alphas:
+            for a in np.flatnonzero(escalate.any(axis=1)):
+                alpha = alphas[a]
                 rhs = (_ivf(alpha) - 1) / 2 * m_term
-                r_cap = alpha * m
                 worst: Optional[CheckLine] = None
-                for p in primes:
-                    for k in range(1, m // p + 1):
-                        r = m - k * p
-                        if Fraction(r) > r_cap:
-                            continue
-                        lhs = iv.mpf(k) * log_p[p] + xlx(r) + xlx(k) - m_term
-                        line = _compare(
-                            f"technical:m={m},p={p},k={k},a={alpha}",
-                            lhs,
-                            rhs,
-                            margin,
-                        )
-                        if worst is None or line.gap_low < worst.gap_low:
-                            worst = line
-                        if line.status != STATUS_PASS:
-                            lines.append(line)
-                if worst is not None and worst.ok:
+                for i in np.flatnonzero(escalate[a]):
+                    p, k = pk[i]
+                    r = m - k * p
+                    lhs = iv.mpf(k) * log_p[p] + xlx(r) + xlx(k) - m_term
+                    line = _compare(
+                        f"technical:m={m},p={p},k={k},a={alpha}",
+                        lhs,
+                        rhs,
+                        margin,
+                    )
+                    if worst is None or line.gap_low < worst.gap_low:
+                        worst = line
+                    if line.status != STATUS_PASS:
+                        lines.append(line)
+                if worst.ok:
                     lines.append(worst)
     return SweepReport(name="technical_sweep", lines=tuple(lines))
 
@@ -353,6 +451,11 @@ def spanning_count(m: int) -> int:
         out *= m - (1 << i)
         i += 1
     return out
+
+
+# Below this degree the explicit estimate of log(max order) is too small for
+# the prime-divisor bound: the log log of it falls under ROBIN_SHIFT.
+ALPHA_BETA_MIN_M = 7
 
 
 def _alpha_interval(m: int):
@@ -409,6 +512,8 @@ class AlphaBetaReport:
 
 def _alpha_beta(m: int, margin: float, exact_constant: bool):
     """The row for degree m and its interval log(alpha_m * beta_m)."""
+    if m < ALPHA_BETA_MIN_M:
+        raise ValueError(f"alpha_m needs m >= {ALPHA_BETA_MIN_M}")
     with _Prec(300):
         alpha = _alpha_interval(m)
         log_beta = _log_beta_interval(m, exact_constant)

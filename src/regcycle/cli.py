@@ -15,7 +15,6 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from . import bounds as bounds_mod
 from .actions import (
     AffineVectorsAction,
     CosetsAction,
@@ -394,7 +393,13 @@ def _format_type(parts: tuple[int, ...]) -> str:
     return "[" + ",".join(str(v) for v in parts) + "]"
 
 
+def _tsv_only(command: str, config: RunConfig) -> None:
+    if config.output != "tsv":
+        raise SpecError(f"--output {config.output}: {command} prints TSV only")
+
+
 def cmd_scan(args, config: RunConfig) -> int:
+    _tsv_only("scan", config)
     head, _, rest = args.action.partition(":")
     header = "m\taction\ttype\torder\tcover\tnote"
     if head == "ksets":
@@ -435,9 +440,12 @@ def cmd_scan(args, config: RunConfig) -> int:
 
 
 def cmd_bounds(args, config: RunConfig) -> int:
+    from . import bounds as bounds_mod
+
+    _tsv_only("bounds", config)
     lo, hi = _parse_range(args.m) if args.m else (47, 200)
-    if lo < 3:
-        raise SpecError("bounds table starts at m = 3")
+    if lo < bounds_mod.ALPHA_BETA_MIN_M:
+        raise SpecError(f"bounds table starts at m = {bounds_mod.ALPHA_BETA_MIN_M}")
     print("m\tn_value\talpha\tbeta\tproduct\tverdict")
     failures = 0
     for row in map(bounds_mod.alpha_beta_row, range(lo, hi + 1)):

@@ -21,7 +21,6 @@ from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 from typing import Callable, Optional
 
-from . import bounds as bounds_mod
 from .actions import (
     AffineVectorsAction,
     CosetsAction,
@@ -777,6 +776,8 @@ def suite_bounds_all(
 ) -> SuiteReport:
     """All interval-checked inequality sweeps at their acceptance ranges
     (or reduced ranges when full=False)."""
+    from . import bounds as bounds_mod
+
     config = config or RunConfig()
     start = time.perf_counter()
     lines: list[SuiteLine] = []

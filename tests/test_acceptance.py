@@ -245,6 +245,19 @@ def test_criterion_11_analytic_bounds(bounds_report):
     assert ok, bounds_report.failures
 
 
+def test_analytic_bounds_printed_details(bounds_report):
+    # The detail lines `verify --suite bounds-all` prints, digit for digit.
+    assert [ln.detail for ln in bounds_report.lines] == [
+        "1 checks, min gap 2.358",
+        "197 checks, min gap 0.4179",
+        "1000 checks, min gap 0.0005991",
+        "5742 checks, min gap 0.09861",
+        "9954 rows, product stays below 1",
+        "11 diagonal profiles stay below 1",
+        "198 checks, min gap 3782",
+    ]
+
+
 def test_criterion_12_decision_rules_agree(identities_report):
     corpus = next(
         ln for ln in identities_report.lines

@@ -10,11 +10,16 @@ from fractions import Fraction
 
 import pytest
 
+from mpmath import iv
+
+from regcycle import bounds
 from regcycle.bounds import (
     MARGIN,
     STATUS_FAIL,
     STATUS_INCONCLUSIVE,
     STATUS_PASS,
+    CheckLine,
+    SweepReport,
     alpha_beta_row,
     alpha_beta_scan,
     diagonal_crude_bound,
@@ -70,6 +75,12 @@ class TestRobin:
         assert exact.status == STATUS_PASS
         # The vectorized gap is a slight underestimate of the exact gap.
         assert rep.lines[0].gap_low <= exact.gap_low + 1e-6
+
+
+    @pytest.mark.parametrize("lo, hi", [(26, 3000), (10**6 - 3000, 10**6)])
+    def test_block_counts_match_omega(self, lo, hi):
+        counts = bounds._omega_block(lo, hi)
+        assert counts.tolist() == [omega(n) for n in range(lo, hi + 1)]
 
 
 class TestLandau:
@@ -137,6 +148,27 @@ class TestStirling:
         with pytest.raises(ValueError):
             stirling_check(0)
 
+    @pytest.mark.parametrize("n", [*range(170, 201), 1000])
+    def test_matches_linear_scale(self, n):
+        assert stirling_check(n) == stirling_linear(n)
+
+
+def stirling_linear(n: int, margin: float = MARGIN) -> CheckLine:
+    """Both factorial brackets compared on the linear scale only."""
+    fact = math.factorial(n)
+    with bounds._Prec(max(260, int(1.2 * fact.bit_length()) + 64)):
+        ni = iv.mpf(n)
+        base = iv.sqrt(2 * iv.pi * ni) * iv.exp(ni * (iv.log(ni) - 1))
+        f = iv.mpf(fact)
+        left = bounds._compare("", base * iv.exp(1 / (12 * ni + 1)), f, margin)
+        right = bounds._compare("", f, base * iv.exp(1 / (12 * ni)), margin)
+    order = (STATUS_FAIL, STATUS_INCONCLUSIVE, STATUS_PASS)
+    return CheckLine(
+        name=f"stirling:{n}",
+        status=min(left.status, right.status, key=order.index),
+        gap_low=min(left.gap_low, right.gap_low),
+    )
+
 
 class TestTechnical:
     def test_alphas(self):
@@ -162,6 +194,46 @@ class TestTechnical:
         rep = technical_sweep(3, 60)
         assert rep.all_pass
         assert rep.min_gap >= MARGIN
+
+    @pytest.mark.parametrize("margin", [MARGIN, 0.5, 3.0, 10.0])
+    def test_sweep_matches_every_grid_point(self, margin):
+        expected = technical_pointwise(3, 40, margin)
+        if margin != MARGIN:
+            assert expected.failures  # lines the filter must escalate
+        assert technical_sweep(3, 40, margin=margin) == expected
+
+    def test_sweep_escalates_at_most_two_points_per_alpha(self, monkeypatch):
+        calls = []
+        compare = bounds._compare
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return compare(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "_compare", counted)
+        rep = technical_sweep(3, 200)
+        assert len(rep.lines) == 198 * 29
+        assert len(calls) <= 2 * 198 * 29
+
+
+def technical_pointwise(lo: int, hi: int, margin: float) -> SweepReport:
+    """technical_sweep's report built from technical_check at every point."""
+    lines = []
+    for m in range(lo, hi + 1):
+        for alpha in technical_inequality_alphas():
+            worst = None
+            for p in (2, 3, 5, 7, 11, 13):
+                for k in range(1, m // p + 1):
+                    if m - k * p > alpha * m:
+                        continue
+                    line = technical_check(m, p, k, alpha, margin)
+                    if worst is None or line.gap_low < worst.gap_low:
+                        worst = line
+                    if not line.ok:
+                        lines.append(line)
+            if worst is not None and worst.ok:
+                lines.append(worst)
+    return SweepReport(name="technical_sweep", lines=tuple(lines))
 
 
 class TestSpanningCount:
@@ -195,6 +267,12 @@ class TestAlphaBeta:
     def test_scan_short(self):
         rep = alpha_beta_scan(47, 300)
         assert rep.all_pass
+
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_rejects_degrees_below_7(self, m):
+        with pytest.raises(ValueError, match="m >= 7"):
+            alpha_beta_row(m)
+        assert alpha_beta_row(7).status == STATUS_FAIL
 
     def test_exact_constant_form(self):
         row = alpha_beta_row(47, exact_constant=True)

@@ -329,6 +329,14 @@ class TestScan:
         assert "Traceback" not in proc.stderr
 
 
+    def test_json_output_exit_2(self):
+        proc = run_cli("scan", "--action", "ksets:2", "--m", "6", "--output", "json")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "TSV only" in proc.stderr
+
+
 class TestBounds:
     def test_table_passes(self):
         proc = run_cli("bounds", "--m", "47..50")
@@ -349,6 +357,50 @@ class TestBounds:
             line.split("\t")[5] == "fail"
             for line in proc.stdout.splitlines()[1:]
         )
+
+
+    @pytest.mark.parametrize("m", ["3", "3..10", "6..6"])
+    def test_below_first_degree_exit_2(self, m):
+        proc = run_cli("bounds", "--m", m)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+        assert "m = 7" in proc.stderr
+
+    def test_json_output_exit_2(self):
+        proc = run_cli("bounds", "--m", "47..48", "--output", "json")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "TSV only" in proc.stderr
+
+
+class TestImportPath:
+    def test_decide_never_loads_mpmath(self):
+        script = (
+            "import sys\n"
+            "import regcycle.cli as cli\n"
+            "assert 'mpmath' not in sys.modules, 'import'\n"
+            f"for example in {readme_decide_examples()!r}:\n"
+            "    assert cli.main(['decide', *example]) == 0, example\n"
+            "    assert 'mpmath' not in sys.modules, example\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_bounds_names_resolve_lazily(self):
+        import regcycle
+        from regcycle import bounds
+
+        assert regcycle.alpha_beta_row is bounds.alpha_beta_row
+        namespace = {}
+        exec("from regcycle import *", namespace)
+        assert all(name in namespace for name in regcycle.__all__)
+        with pytest.raises(AttributeError):
+            regcycle.no_such_name
 
 
 class TestUsage:
