@@ -23,7 +23,6 @@ from .actions import (
     VectorsAction,
     WreathElement,
     orbit_lengths,
-    orbit_partition,
     realize_diagonal_group,
 )
 from .gfalgebra import AffineMap, Field, Matrix, field_ops
@@ -49,6 +48,8 @@ from .permcore import (
     factorize,
     first_primes,
     nk_threshold,
+    orbit_length_array,
+    orbit_partition,
     order_and_type,
     parse_cycles,
     primes_upto,
@@ -161,6 +162,7 @@ __all__ = [
     "m10",
     "massias_sweep",
     "nk_threshold",
+    "orbit_length_array",
     "orbit_lengths",
     "orbit_partition",
     "order_and_type",

@@ -24,6 +24,12 @@ that needs it, never in the constructor, so an action used only through
 ndarray on these and on the tuple actions, and a list on the natural and
 coset actions.
 
+`orbit_lengths` and `images_order` read orbit sizes off an image array with
+the pointer-doubling kernel of `permcore`; nothing here walks an orbit.
+`element_order` is the order of g itself, which a kernel of the action may
+divide down on the points. The diagonal action reads it from the element's
+slot permutation and coordinate maps, without building its image array.
+
 All actions are right actions: apply(g * h, i) == apply(h, apply(g, i)).
 """
 
@@ -37,12 +43,14 @@ import numpy as np
 
 from .gfalgebra import AffineMap, Matrix, field_ops
 from .groups import DEFAULT_GROUP_CAP, AmbientAutomorphisms, GeneratedGroup, closure
-from .permcore import Permutation, orbit_partition, render_cycles
+from .permcore import Permutation, orbit_labels, render_cycles
 
 
 def orbit_lengths(images: Sequence[int]) -> list[int]:
-    """Orbit sizes in smallest-member order."""
-    return [len(orbit) for orbit in orbit_partition(images)]
+    """Orbit sizes in smallest-member order: each orbit's point count under
+    its `orbit_labels` label, which is its smallest member."""
+    counts = np.bincount(orbit_labels(images), minlength=len(images))
+    return counts[counts > 0].tolist()
 
 
 def images_order(images: Sequence[int]) -> int:
@@ -124,13 +132,6 @@ class Action:
 
     def fpr(self, g) -> Fraction:
         return Fraction(self.fix_count(g), self.size)
-
-    def induced_order(self, g) -> int:
-        return images_order(self.induced_images(g))
-
-    def is_faithful_for(self, g) -> bool:
-        """Whether g acts with its full order; false means a kernel ate it."""
-        return self.induced_order(g) == self.element_order(g)
 
 
 class NaturalAction(Action):
@@ -283,6 +284,22 @@ def apply_to_blocks(
     return canonical_blocks([imgs[v] for v in block] for block in blocks)
 
 
+def _complements(subsets: np.ndarray, m: int) -> np.ndarray:
+    """The complement in range(m) of each row of a small-int subset array,
+    ascending, in the same dtype.
+
+    The points are read through a boolean mask from a broadcast row of
+    small ints, and the mask is cleared one subset column at a time, so no
+    int64 array larger than one column is built.
+    """
+    free = np.ones((len(subsets), m), dtype=bool)
+    rows = np.arange(len(subsets))
+    for column in subsets.T:
+        free[rows, column] = False
+    points = np.broadcast_to(np.arange(m, dtype=subsets.dtype), free.shape)
+    return points[free].reshape(len(subsets), m - subsets.shape[1])
+
+
 def _uniform_partitions_array(block_size: int, block_count: int) -> np.ndarray:
     """The partitions of range(block_size * block_count) in canonical
     order, as a small-int array (count, block_count, block_size).
@@ -294,6 +311,8 @@ def _uniform_partitions_array(block_size: int, block_count: int) -> np.ndarray:
     followed by the partitions of range(m - block_size) mapped onto the
     points c leaves, in ascending order. The lexicographic listing is the
     colex listing of the reflected subsets x -> m - 1 - x, read backwards.
+    Each level is written into one preallocated array, so the largest
+    level is held about twice, never as int64.
     """
     a = block_size
     dtype = np.min_scalar_type(a * block_count - 1)
@@ -301,12 +320,11 @@ def _uniform_partitions_array(block_size: int, block_count: int) -> np.ndarray:
     for m in range(a, a * block_count + 1, a):
         firsts = (m - 1 - _colex_combinations(m - 1, a - 1))[::-1, ::-1].astype(dtype)
         firsts = np.column_stack([np.zeros(len(firsts), dtype=dtype), firsts])
-        free = np.ones((len(firsts), m), dtype=bool)
-        np.put_along_axis(free, firsts.astype(np.intp), False, axis=1)
-        rest = (np.flatnonzero(free) % m).astype(dtype).reshape(len(firsts), m - a)
-        tails = rest[:, parts]
-        heads = np.broadcast_to(firsts[:, None, :], (*tails.shape[:2], a))
-        parts = np.concatenate([heads, tails], axis=2).reshape(-1, m)
+        rest = _complements(firsts, m)
+        level = np.empty((len(firsts), len(parts), m), dtype=dtype)
+        level[:, :, :a] = firsts[:, None, :]
+        level[:, :, a:] = rest[:, parts]
+        parts = level.reshape(-1, m)
     return parts.reshape(-1, block_count, a)
 
 
@@ -720,8 +738,9 @@ class DiagonalGroupData:
     """Lookup tables for a target group and its ambient automorphisms.
 
     Stores multiplication, inversion, and per-automorphism conjugation as
-    integer tables over element indices, plus a fingerprint map so any
-    ambient element can be resolved to its automorphism representative.
+    integer tables over element indices, the order of each automorphism,
+    plus a fingerprint map so any ambient element can be resolved to its
+    automorphism representative.
     """
 
     def __init__(self, group: GeneratedGroup, automorphisms: AmbientAutomorphisms, label: str):
@@ -744,6 +763,7 @@ class DiagonalGroupData:
         self.mul = mul
         self.inv = inv
         self.aut = aut
+        self.aut_order = [images_order(row) for row in aut]
         self._phi_by_fingerprint = {
             self._fingerprint(rep): a for a, rep in enumerate(reps)
         }
@@ -825,10 +845,32 @@ class DiagonalAction(TupleAction):
             raise ValueError("element shape does not match the action")
 
     def element_order(self, g: DiagonalElement) -> int:
-        # The action is faithful for a centerless target, so the element
-        # order equals the induced order. This builds and walks the whole
-        # image array; the deciders take the order from their own walk.
-        return images_order(self.induced_images(g))
+        """The order of g, read from its structure, never from the image
+        array of the whole point set.
+
+        With k the order of sigma, g^k (built with `compose`) has slot
+        permutation sigma^k = 1, so it acts on each coordinate alone, by
+        psi_i: t -> phi'(t)·m'_i on the target's n points. As phi' fixes
+        the identity, psi_i^j(t) = phi'^j(t)·psi_i^j(1), so psi_i has
+        order lcm(|phi'|, length of the psi_i-orbit of the identity). The
+        action is faithful for a centerless target, so the order of g is k
+        times the lcm of the orders of the coordinate maps.
+        """
+        self._check(g)
+        k = g.sigma.order()
+        power = g
+        for _ in range(k - 1):
+            power = self.compose(power, g)
+        mul, twist = self.data.mul, self.data.aut[power.phi]
+        orders = [self.data.aut_order[power.phi]]
+        for t in power.m:
+            # psi_i(1) = m'_i, since the identity has index 0.
+            x, length = t, 1
+            while x != 0:
+                x = mul[twist[x], t]
+                length += 1
+            orders.append(length)
+        return k * math.lcm(*orders)
 
     def move(self, g: DiagonalElement, digits: list) -> list:
         mul, inv, aut, phi = self.data.mul, self.data.inv, self.data.aut, g.phi

@@ -7,6 +7,11 @@ Conventions shared across the package:
 * images are stored 0-indexed, all text I/O (cycle notation, reports) is
   1-indexed;
 * cycle types include fixed points, so the parts of a type sum to the degree.
+
+Orbits of an image array are read two ways. `orbit_partition` walks them,
+in walk order, for cycle notation. `orbit_labels` and `orbit_length_array`
+give each point's orbit minimum and orbit length by numpy pointer doubling,
+for every caller that needs only the sizes.
 """
 
 from __future__ import annotations
@@ -141,8 +146,10 @@ def orbit_partition(images: Sequence[int]) -> list[list[int]]:
 
     Orbits are listed by their smallest member, each starting at that member
     and walking forward, so the output is deterministic. This is the one
-    orbit walk over an image array; a list, a tuple or an ndarray is
-    accepted, and an ndarray is converted to Python ints once up front.
+    orbit walk over an image array, kept for callers that need the walk
+    order (`Permutation.cycles`); callers that read only orbit sizes use
+    `orbit_labels` and `orbit_length_array`. A list, a tuple or an ndarray
+    is accepted, and an ndarray is converted to Python ints once up front.
     """
     if isinstance(images, np.ndarray):
         images = images.tolist()
@@ -160,6 +167,29 @@ def orbit_partition(images: Sequence[int]) -> list[list[int]]:
             x = images[x]
         orbits.append(orbit)
     return orbits
+
+
+def orbit_labels(images: Sequence[int]) -> np.ndarray:
+    """The least point of the orbit through each point of an image array.
+
+    Pointer doubling (Hillis and Steele 1986): after r rounds of
+    ``lab = minimum(lab, lab[f]); f = f[f]``, lab[x] is the least of x and
+    its next 2**r - 1 images, so ceil(log2 n) rounds cover every orbit.
+    All numpy, no walk: on thousands of points it is several times faster
+    than `orbit_partition`, on a dozen points a few times slower.
+    """
+    f = np.asarray(images, dtype=np.intp)
+    lab = np.arange(len(f))
+    for _ in range((len(f) - 1).bit_length()):
+        np.minimum(lab, lab[f], out=lab)
+        f = f[f]
+    return lab
+
+
+def orbit_length_array(images: Sequence[int]) -> np.ndarray:
+    """The length of the orbit through each point of an image array."""
+    lab = orbit_labels(images)
+    return np.bincount(lab, minlength=len(lab))[lab]
 
 
 @dataclass(frozen=True)
@@ -366,6 +396,16 @@ def cycle_types(m: int) -> Iterator[CycleType]:
             prefix.pop()
 
     yield from gen(m, m, [])
+
+
+def cycle_type_count(m: int) -> int:
+    """p(m), the number of cycle types of degree m, by the partition
+    recurrence rather than by listing them."""
+    counts = [1] + [0] * m
+    for part in range(1, m + 1):
+        for total in range(part, m + 1):
+            counts[total] += counts[total - part]
+    return counts[m]
 
 
 def canonical_permutation(ct: CycleType) -> Permutation:

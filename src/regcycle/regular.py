@@ -46,8 +46,6 @@ from .actions import (
     canonical_blocks,
     fixed_count,
     images_order,
-    orbit_lengths,
-    orbit_partition,
     power_images,
 )
 from .gfalgebra import AffineMap, Matrix, SemilinearMap, matrix_rank
@@ -58,6 +56,8 @@ from .permcore import (
     cycle_types,
     factorize,
     nk_threshold,
+    orbit_labels,
+    orbit_length_array,
     render_cycles,
 )
 
@@ -66,7 +66,6 @@ METHODS = (
     "fix_union",
     "kset_combinatorial",
     "constructive_proof",
-    "fpr_sum_sufficient",
 )
 
 CASE_CONSECUTIVE_RUNS = "consecutive_runs"
@@ -79,10 +78,10 @@ class PartitionCaseError(ValueError):
 
 
 class DomainCapError(RuntimeError):
-    """An action is too large to materialize under the configured cap."""
+    """An action, or a batch of work priced in points, passes the cap."""
 
-    def __init__(self, size: int, cap: int):
-        super().__init__(f"action has {size} points, cap is {cap}")
+    def __init__(self, size: int, cap: int, subject: str = "action"):
+        super().__init__(f"{subject} has {size} points, cap is {cap}")
         self.size = size
         self.cap = cap
 
@@ -204,29 +203,19 @@ def certify_regular(action: Action, g, pt, order: int) -> None:
             raise AssertionError(f"g^({order}/{p}) fixes the point {pt}")
 
 
-def _images_and_orbits(action: Action, g):
-    """(images, orbits, element order, induced order) of g on action, from
-    one image build and one walk of it.
-
-    The diagonal actions are faithful (their targets are centerless), so
-    a diagonal element's order is its induced order, read off the walk.
-    """
-    images = action.induced_images(g)
-    orbits = orbit_partition(images)
-    induced = math.lcm(*{len(orbit) for orbit in orbits})
-    if isinstance(action, DiagonalAction):
-        return images, orbits, induced, induced
-    return images, orbits, action.element_order(g), induced
-
-
 def decide_bruteforce(action: Action, g) -> Verdict:
-    """Enumerate all orbits; report the first regular one if any.
+    """Read the orbit length of every point; report the first regular one.
 
     The witness, when present, is the smallest-index point (in the action's
     point order) whose orbit is regular. Always certified.
     """
-    _, orbits, order, induced = _images_and_orbits(action, g)
-    witness_idx = next((orbit[0] for orbit in orbits if len(orbit) == order), None)
+    order = action.element_order(g)
+    # The size of each orbit, at its least point and nowhere else. So the
+    # least point with size `order` is the least point on a regular orbit.
+    sizes = np.bincount(orbit_labels(action.induced_images(g)), minlength=action.size)
+    induced = math.lcm(*set(sizes[sizes > 0].tolist()))
+    regular = (sizes == order).nonzero()[0]
+    witness_idx = int(regular[0]) if regular.size else None
     flags = ("unfaithful",) if induced < order else ()
     witness = action.point_json(witness_idx) if witness_idx is not None else None
     return _verdict(
@@ -241,19 +230,30 @@ def decide_fix_union(action: Action, g) -> Verdict:
     with p prime dividing |g|. The first uncovered point (in action point
     order) is a certified witness. Identity elements are trivially regular
     on every point.
+
+    No orbit of the action is walked. The induced order is |g| reduced
+    prime by prime: when g^(|g|/p) fixes every point, p is divided out
+    while g^(induced/p) still fixes every point. A g^(|g|/p) that moves a
+    point leaves p alone, since then no smaller power g^(induced/p) fixes
+    every point either.
     """
-    images, _, order, induced = _images_and_orbits(action, g)
+    order = action.element_order(g)
     if order == 1:
         return _verdict(
             action, g, "fix_union", 1, 1, True, action.point_json(0), ("identity",)
         )
-    images = np.asarray(images, dtype=np.int64)
+    images = np.asarray(action.induced_images(g), dtype=np.int64)
     n = action.size
     covered = np.zeros(n, dtype=bool)
     idx = np.arange(n, dtype=np.int64)
+    induced = order
     for p in factorize(order).primes:
-        pw = np.asarray(power_images(images, order // p), dtype=np.int64)
-        covered |= pw == idx
+        fixed = power_images(images, order // p) == idx
+        covered |= fixed
+        if fixed.all():
+            induced //= p
+            while induced % p == 0 and (power_images(images, induced // p) == idx).all():
+                induced //= p
     flags: tuple[str, ...] = ()
     if induced < order:
         flags = ("unfaithful",)
@@ -264,43 +264,6 @@ def decide_fix_union(action: Action, g) -> Verdict:
     certify_regular(action, g, action.point(witness_idx), order)
     witness = action.point_json(witness_idx)
     return _verdict(action, g, "fix_union", order, induced, True, witness, flags)
-
-
-@dataclass(frozen=True)
-class FprSumResult:
-    """Fixed-point-ratio sum over prime-index powers, with optional verdict.
-
-    total < 1 guarantees a regular cycle (the fixed sets cannot cover the
-    domain), so `verdict` is set; total >= 1 is inconclusive and `verdict`
-    is None. All arithmetic is exact.
-    """
-
-    total: Fraction
-    per_prime: tuple[tuple[int, Fraction], ...]
-    verdict: Optional[Verdict]
-
-
-def fpr_sum_sufficient(action: Action, g) -> FprSumResult:
-    order = action.element_order(g)
-    if order == 1:
-        verdict = _verdict(
-            action, g, "fpr_sum_sufficient", 1, 1, True, flags=("identity",)
-        )
-        return FprSumResult(Fraction(0), (), verdict)
-    images = action.induced_images(g)
-    n = action.size
-    induced = images_order(images)
-    terms = []
-    total = Fraction(0)
-    for p in factorize(order).primes:
-        pw = power_images(images, order // p)
-        ratio = Fraction(fixed_count(pw), n)
-        terms.append((p, ratio))
-        total += ratio
-    if total >= 1:
-        return FprSumResult(total, tuple(terms), None)
-    verdict = _verdict(action, g, "fpr_sum_sufficient", order, induced, True)
-    return FprSumResult(total, tuple(terms), verdict)
 
 
 def lift_witness(action: Action, g, p: int, w):
@@ -323,14 +286,6 @@ def lift_witness(action: Action, g, p: int, w):
             f"the orbit of w under g^{p} does not have length {order // p}: {exc}"
         ) from None
     return w
-
-
-def cycle_ratio_stats(action: Action, g) -> tuple[int, int, Fraction]:
-    """(regular orbit count, total orbit count, their exact ratio)."""
-    order = action.element_order(g)
-    lengths = orbit_lengths(action.induced_images(g))
-    regular = sum(1 for v in lengths if v == order)
-    return regular, len(lengths), Fraction(regular, len(lengths))
 
 
 # ---------------------------------------------------------------------------
@@ -804,9 +759,8 @@ def gl_regular_vector_set(m: Matrix) -> SpanningSet:
     q = m.field.q
     action = VectorsAction(d, q)
     order = m.order()
-    orbits = orbit_partition(action.induced_images(m))
-    regular_idx = sorted(v for orbit in orbits if len(orbit) == order for v in orbit)
-    vectors = tuple(action.point(i) for i in regular_idx)
+    regular_idx = np.flatnonzero(orbit_length_array(action.induced_images(m)) == order)
+    vectors = tuple(action.point(i) for i in regular_idx.tolist())
     spans = bool(vectors) and matrix_rank(m.field, list(vectors)) == d
     return SpanningSet(matrix=m, regular_vectors=vectors, spans=spans)
 
@@ -825,9 +779,9 @@ def affine_witness(f: AffineMap) -> tuple[int, ...]:
     emb = f.embed()
     order = f.order()
     big = VectorsAction(d + 1, q)
-    orbits = orbit_partition(big.induced_images(emb))
+    lengths = orbit_length_array(big.induced_images(emb))
     fld = f.field
-    for idx in sorted(v for orbit in orbits if len(orbit) == order for v in orbit):
+    for idx in np.flatnonzero(lengths == order).tolist():
         vec = big.point(idx)
         lam = vec[d]
         if lam == 0:

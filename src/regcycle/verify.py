@@ -53,11 +53,13 @@ from .groups import (
 from .permcore import (
     Permutation,
     canonical_permutation,
+    cycle_type_count,
     cycle_types,
     nk_threshold,
     render_cycles,
 )
 from .regular import (
+    DomainCapError,
     PartitionCaseError,
     affine_witness,
     decide_bruteforce,
@@ -136,14 +138,28 @@ def _random_permutation(rng: random.Random, n: int) -> Permutation:
 # k-set actions
 
 
+def ksets_oracle_price(m: int) -> int:
+    """Points the degree-m oracle line brute-forces: every k-set action,
+    k = 1..m/2, once per cycle type."""
+    return sum(math.comb(m, k) for k in range(1, m // 2 + 1)) * cycle_type_count(m)
+
+
 def suite_ksets(
     config: Optional[RunConfig] = None,
     oracle_m_max: int = 13,
     scan_m_max: int = 20,
 ) -> SuiteReport:
     """Pair-set example, threshold-law scans, and the combinatorial
-    decision against brute force for every small cycle type."""
+    decision against brute force for every small cycle type.
+
+    Each oracle line is priced before any line runs, and a price past
+    config.domain_cap raises DomainCapError naming its degree.
+    """
     config = config or RunConfig()
+    for m in range(2, oracle_m_max + 1):
+        price = ksets_oracle_price(m)
+        if price > config.domain_cap:
+            raise DomainCapError(price, config.domain_cap, f"ksets oracle line m={m}")
     start = time.perf_counter()
     lines: list[SuiteLine] = []
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations
+import subprocess
+import sys
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -27,7 +29,6 @@ from regcycle.actions import (
     fixed_count,
     images_order,
     orbit_lengths,
-    orbit_partition,
     partitions_count,
     power_images,
     realize_diagonal_group,
@@ -36,10 +37,12 @@ from regcycle.gfalgebra import AffineMap, Matrix, field_ops
 from regcycle.groups import (
     AmbientAutomorphisms,
     alternating_group,
+    gl_elements,
+    pgl2,
     point_stabilizer,
     symmetric_group,
 )
-from regcycle.permcore import Permutation, parse_cycles
+from regcycle.permcore import Permutation, orbit_partition, parse_cycles
 from regcycle.regular import decide_bruteforce, decide_fix_union
 
 
@@ -91,6 +94,64 @@ class TestImageHelpers:
         assert fixed_count(list(g.images)) == 4
 
 
+def corpus_family_cases(family: str, count: int = 40):
+    """(action, element) pairs of one corpus family, seeded."""
+    rng = random.Random(family)
+
+    def perm(n: int) -> Permutation:
+        vals = list(range(n))
+        rng.shuffle(vals)
+        return Permutation(tuple(vals))
+
+    if family == "natural":
+        return [(NaturalAction(12), perm(12)) for _ in range(count)]
+    if family == "ksets":
+        return [(KSetsAction(10, 3), perm(10)) for _ in range(count)]
+    if family == "partitions":
+        return [(PartitionsAction(3, 3), perm(9)) for _ in range(count)]
+    if family == "product":
+        return [(ProductAction(3, 3), random_wreath(rng, 3, 3)) for _ in range(count)]
+    if family == "vectors":
+        return [(VectorsAction(2, 3), m) for m in gl_elements(2, 3)]
+    if family == "affine":
+        mats = gl_elements(2, 3)
+        shifts = list(product(range(3), repeat=2))
+        return [
+            (AffineVectorsAction(2, 3), AffineMap(rng.choice(mats), rng.choice(shifts)))
+            for _ in range(count)
+        ]
+    if family == "cosets":
+        act = CosetsAction(symmetric_group(6), pgl2(5))
+        return [(act, g) for g in rng.sample(act.group.elements, count)]
+    copies = int(family[-1])
+    target, ambient = alternating_group(5), symmetric_group(5)
+    data = DiagonalGroupData.build(target, AmbientAutomorphisms.build(target, ambient))
+    act = DiagonalAction(data, copies)
+    return [
+        (act, DiagonalElement(
+            Permutation(tuple(rng.sample(range(copies + 1), copies + 1))),
+            rng.randrange(data.aut.shape[0]),
+            tuple(rng.randrange(60) for _ in range(copies)),
+        ))
+        for _ in range(count)
+    ]
+
+
+CORPUS_FAMILIES = (
+    "natural", "ksets", "partitions", "product", "vectors", "affine", "cosets",
+    "diagonal1", "diagonal2",
+)
+
+
+@pytest.mark.parametrize("family", CORPUS_FAMILIES)
+def test_orbit_lengths_and_order_match_walk(family):
+    for act, g in corpus_family_cases(family):
+        images = act.induced_images(g)
+        walked = [len(orbit) for orbit in orbit_partition(images)]
+        assert orbit_lengths(images) == walked
+        assert images_order(images) == math.lcm(*walked)
+
+
 class TestNaturalAction:
     def test_basic(self):
         act = NaturalAction(5)
@@ -100,7 +161,7 @@ class TestNaturalAction:
         assert act.point(0) == 1
         assert act.index(5) == 4
         assert act.element_order(g) == 3
-        assert act.induced_order(g) == 3
+        assert images_order(act.induced_images(g)) == 3
         assert act.fix_count(g) == 2
 
     def test_index_validation(self):
@@ -211,7 +272,7 @@ class TestPartitions:
         for text in ("(1 2)(3 4)", "(1 3)(2 4)", "(1 4)(2 3)"):
             g = parse_cycles(text, 4)
             assert list(act.induced_images(g)) == [0, 1, 2]
-            assert not act.is_faithful_for(g)
+            assert images_order(act.induced_images(g)) < act.element_order(g)
         # The quotient of Sym(4) by that kernel acts as the full Sym(3).
         seen = {tuple(act.induced_images(g)) for g in symmetric_group(4)}
         assert len(seen) == 6
@@ -224,6 +285,28 @@ class TestPartitions:
             act.index(((1, 2), (3, 3)))
         with pytest.raises(ValueError):
             act.index(((1, 2, 3), (4,)))
+
+    def test_largest_listing_peak_memory(self):
+        # 1 352 078 partitions of 24 points; the listing itself is 32 MB.
+        measure = (
+            "import resource\n"
+            "from regcycle.actions import PartitionsAction\n"
+            "PartitionsAction(12, 2)._materialize()\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        # ru_maxrss keeps the peak of the forking process across exec, so
+        # the measuring interpreter is started from a small one, not from
+        # this test process.
+        launch = (
+            "import subprocess, sys\n"
+            f"sys.exit(subprocess.run([sys.executable, '-c', {measure!r}]).returncode)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", launch], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        peak_mb = int(proc.stdout) / 1024
+        assert peak_mb < 150, f"peak RSS {peak_mb:.0f} MB"
 
 
 def colex_reference(degree: int, k: int) -> list[tuple[int, ...]]:
@@ -377,7 +460,7 @@ class TestProductAction:
         act = ProductAction(3, 3)
         for _ in range(40):
             g = random_wreath(rng, 3, 3)
-            assert act.induced_order(g) == g.order()
+            assert images_order(act.induced_images(g)) == g.order()
 
     def test_point_indexing(self):
         act = ProductAction(3, 2)
@@ -450,7 +533,7 @@ class TestVectorActions:
         amap = AffineMap(Matrix.identity(f, 2), (1, 0))
         act = AffineVectorsAction(2, 3)
         assert act.element_order(amap) == 3
-        assert act.induced_order(amap) == 3
+        assert images_order(act.induced_images(amap)) == 3
         assert act.fix_count(amap) == 0
 
     def test_vector_index_round_trip(self):
@@ -562,7 +645,7 @@ class TestCosetsAction:
         act = CosetsAction(group, stab)
         assert act.size == 4
         g = parse_cycles("(1 2 3 4)", 4)
-        assert act.induced_order(g) == 4
+        assert images_order(act.induced_images(g)) == 4
         assert act.fix_count(parse_cycles("(1 2)", 4)) == 2
 
     def test_right_action_law(self):
@@ -583,9 +666,8 @@ class TestCosetsAction:
         act = CosetsAction(group, alt)
         assert act.size == 2
         g = parse_cycles("(1 2 3)", 4)
-        assert act.induced_order(g) == 1
-        assert not act.is_faithful_for(g)
-        assert act.induced_order(parse_cycles("(1 2)", 4)) == 2
+        assert images_order(act.induced_images(g)) == 1 < act.element_order(g)
+        assert images_order(act.induced_images(parse_cycles("(1 2)", 4))) == 2
 
     def test_representatives_sorted(self):
         group = symmetric_group(4)
@@ -711,6 +793,25 @@ class TestDiagonal:
         g = act.translation((Permutation.identity(5), t))
         # Right translation by an order-n element has order n.
         assert act.element_order(g) == t.order()
+
+    def test_element_order_is_induced_order_copies1(self, alt5_data):
+        act = DiagonalAction(alt5_data, 1)
+        for sigma, phi, m0 in product(
+            permutations(range(2)), range(alt5_data.aut.shape[0]), range(60)
+        ):
+            g = DiagonalElement(Permutation(sigma), phi, (m0,))
+            assert act.element_order(g) == images_order(act.induced_images(g)), g
+
+    def test_element_order_is_induced_order_copies2(self, alt5_data):
+        act = DiagonalAction(alt5_data, 2)
+        rng = random.Random(2000)
+        for _ in range(2000):
+            g = DiagonalElement(
+                Permutation(tuple(rng.sample(range(3), 3))),
+                rng.randrange(alt5_data.aut.shape[0]),
+                (rng.randrange(60), rng.randrange(60)),
+            )
+            assert act.element_order(g) == images_order(act.induced_images(g)), g
 
     @pytest.mark.parametrize("decider", [decide_bruteforce, decide_fix_union])
     def test_one_image_build_per_decider_call(self, alt5_data, monkeypatch, decider):

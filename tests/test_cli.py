@@ -291,6 +291,28 @@ class TestVerify:
         assert len(proc.stderr.strip().splitlines()) == 1
         assert "starts at m = 2" in proc.stderr
 
+    def test_ksets_oracle_past_cap_exit_3(self):
+        # The m = 17 oracle line brute-forces 65535 k-set points for each
+        # of the 297 cycle types: past the default cap of 10**7.
+        proc = run_cli("verify", "--suite", "ksets", "--m", "2..20")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.strip().splitlines() == [
+            "regcycle: ksets oracle line m=17 has 19463895 points, cap is 10000000"
+        ]
+
+    def test_ksets_m_13_runs_the_default_oracle(self):
+        proc = run_cli("verify", "--suite", "ksets", "--m", "2..13", "--output", "tsv")
+        default = run_cli("verify", "--suite", "ksets", "--output", "tsv")
+        assert proc.returncode == default.returncode == 0, proc.stderr
+
+        def oracle(stdout):
+            return [line for line in stdout.splitlines() if "_vs_bruteforce_" in line]
+
+        lines = oracle(proc.stdout)
+        assert len(lines) == 12 and lines[-1].startswith("combinatorial_vs_bruteforce_m13\ttrue")
+        assert lines == oracle(default.stdout)
+
 
 class TestScan:
     def test_single_row(self):

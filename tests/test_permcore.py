@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,11 +18,14 @@ from regcycle import (
     factorize,
     first_primes,
     nk_threshold,
+    orbit_length_array,
+    orbit_partition,
     order_and_type,
     parse_cycles,
     primes_upto,
     render_cycles,
 )
+from regcycle.permcore import cycle_type_count, orbit_labels
 
 
 def naive_primes(limit: int) -> list[int]:
@@ -209,3 +213,46 @@ class TestCycleTypes:
             CycleType((1, 2), 3)
         with pytest.raises(ValueError):
             CycleType((2, 1), 4)
+
+    def test_cycle_type_count(self):
+        assert [cycle_type_count(m) for m in (0, 1, 13, 16, 17, 20)] == [1, 1, 101, 231, 297, 627]
+        for m in range(12):
+            assert cycle_type_count(m) == sum(1 for _ in cycle_types(m))
+
+
+def walked_lengths(images) -> tuple[list[int], list[int]]:
+    """(orbit length, least orbit point) of every point, from the walk."""
+    n = len(images)
+    lengths, least = [0] * n, [0] * n
+    for orbit in orbit_partition(images):
+        for x in orbit:
+            lengths[x], least[x] = len(orbit), orbit[0]
+    return lengths, least
+
+
+def check_orbit_kernel(images) -> None:
+    lengths, least = walked_lengths(images)
+    assert orbit_length_array(images).tolist() == lengths
+    assert orbit_labels(images).tolist() == least
+
+
+class TestOrbitKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 300).flatmap(lambda n: st.permutations(list(range(n)))))
+    def test_matches_walk(self, images):
+        check_orbit_kernel(images)
+        check_orbit_kernel(np.array(images, dtype=np.int64))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 16, 17, 300, 4097])
+    def test_identity_and_single_cycle(self, n):
+        check_orbit_kernel(list(range(n)))
+        # One n-cycle needs every one of the ceil(log2 n) rounds.
+        cycle = list(range(1, n)) + [0] if n else []
+        check_orbit_kernel(cycle)
+        assert orbit_length_array(cycle).tolist() == [n] * n
+
+    def test_degree_4097(self):
+        rng = random.Random(4097)
+        images = list(range(4097))
+        rng.shuffle(images)
+        check_orbit_kernel(images)

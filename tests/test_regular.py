@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regcycle.actions import (
+    CosetsAction,
     DiagonalGroupData,
     KSetsAction,
     NaturalAction,
@@ -22,6 +23,7 @@ from regcycle.actions import (
     ProductAction,
     VectorsAction,
     WreathElement,
+    images_order,
     orbit_lengths,
 )
 from regcycle.gfalgebra import AffineMap, Matrix, field_ops
@@ -38,6 +40,7 @@ from regcycle.permcore import (
     cycle_types,
     nk_threshold,
     parse_cycles,
+    render_cycles,
 )
 from regcycle.regular import (
     CASE_CONSECUTIVE_RUNS,
@@ -50,12 +53,10 @@ from regcycle.regular import (
     Verdict,
     affine_witness,
     certify_regular,
-    cycle_ratio_stats,
     decide,
     decide_bruteforce,
     decide_fix_union,
     diagonal_fpr_audit,
-    fpr_sum_sufficient,
     fraction_str,
     gl_regular_vector_set,
     kset_decide,
@@ -290,6 +291,26 @@ class TestDecideFixUnion:
         assert not v.has_regular_cycle
         assert v.induced_order == 2
 
+    @pytest.mark.parametrize("degree", [4, 6])
+    def test_induced_order_on_unfaithful_actions(self, degree):
+        # The 2x2 partitions have the Klein four-group as kernel; the cosets
+        # of Alt(6) see only the sign, so the even (1 2 3 4)(5 6) of order 4
+        # acts trivially and both factors of 2 must be divided out.
+        group = symmetric_group(degree)
+        if degree == 4:
+            act = PartitionsAction(2, 2)
+        else:
+            act = CosetsAction(group, alternating_group(degree))
+        unfaithful = 0
+        for g in group:
+            v = decide_fix_union(act, g)
+            induced = images_order(act.induced_images(g))
+            assert v.induced_order == induced, render_cycles(g)
+            assert v.induced_order == decide_bruteforce(act, g).induced_order
+            assert ("unfaithful" in v.flags) == (induced < g.order())
+            unfaithful += induced < g.order()
+        assert unfaithful > 0
+
     @settings(max_examples=150, deadline=None)
     @given(perm_strategy(7))
     def test_agrees_with_bruteforce_natural(self, g):
@@ -325,44 +346,6 @@ class TestDecideFixUnion:
             decide_fix_union(a, g).has_regular_cycle
             == decide_fix_union(a, g.conj(c)).has_regular_cycle
         )
-
-
-class TestFprSumSufficient:
-    def test_six_cycle_sum_zero(self):
-        g = parse_cycles("(1 2 3 4 5 6)", 6)
-        res = fpr_sum_sufficient(NaturalAction(6), g)
-        assert res.total == 0
-        assert res.verdict is not None
-        assert res.verdict.has_regular_cycle
-        assert res.verdict.method == "fpr_sum_sufficient"
-
-    def test_inconclusive_when_sum_at_least_one(self):
-        g = parse_cycles("(1 2)(3 4 5)", 6)
-        res = fpr_sum_sufficient(NaturalAction(6), g)
-        assert res.total == Fraction(4, 6) + Fraction(3, 6)
-        assert res.verdict is None
-
-    def test_terms_are_per_prime(self):
-        g = parse_cycles("(1 2 3 4 5 6)", 8)
-        res = fpr_sum_sufficient(NaturalAction(8), g)
-        terms = dict(res.per_prime)
-        assert set(terms) == {2, 3}
-        # g^3 is a product of three 2-cycles: fixes 2 points of 8.
-        assert terms[2] == Fraction(2, 8)
-        # g^2 is two 3-cycles: fixes 2 points.
-        assert terms[3] == Fraction(2, 8)
-
-    @settings(max_examples=120, deadline=None)
-    @given(perm_strategy(7))
-    def test_soundness(self, g):
-        a = NaturalAction(7)
-        res = fpr_sum_sufficient(a, g)
-        if res.verdict is not None:
-            assert decide_bruteforce(a, g).has_regular_cycle
-
-    def test_identity(self):
-        res = fpr_sum_sufficient(NaturalAction(3), Permutation.identity(3))
-        assert res.total == 0 and res.verdict.has_regular_cycle
 
 
 class TestLiftWitness:
@@ -465,20 +448,6 @@ class TestCertifyRegular:
         w = partition_witness(g, 3, 10)
         assert time.perf_counter() - start < 1
         assert_regular_partition(g, w, 3, 10)
-
-
-class TestCycleRatioStats:
-    def test_counts(self):
-        g = parse_cycles("(1 2 3 4 5)(6 7 8)(9 10)", 10)
-        act = KSetsAction(10, 2)
-        regular, total, ratio = cycle_ratio_stats(act, g)
-        assert regular == 0 and total == 7 and ratio == 0
-
-    def test_natural(self):
-        g = parse_cycles("(1 2)(3 4)", 5)
-        regular, total, ratio = cycle_ratio_stats(NaturalAction(5), g)
-        assert (regular, total) == (2, 3)
-        assert ratio == Fraction(2, 3)
 
 
 # ---------------------------------------------------------------------------

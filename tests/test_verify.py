@@ -6,11 +6,13 @@ the acceptance test module.
 
 import pytest
 
+from regcycle.regular import DomainCapError
 from regcycle.verify import (
     RunConfig,
     SUITES,
     SuiteLine,
     SuiteReport,
+    ksets_oracle_price,
     run_suite,
     scan_ksets,
     scan_partitions,
@@ -74,6 +76,21 @@ class TestSuiteKsets:
         assert "pair_sets_type_5_3_2" in names
         assert "threshold_law_k3" in names
         assert "combinatorial_vs_bruteforce_m8" in names
+
+    def test_oracle_prices(self):
+        assert [ksets_oracle_price(m) for m in (2, 13, 16, 17)] == [
+            2 * 2, 413_595, 9_055_662, 19_463_895
+        ]
+
+    def test_priced_before_any_line_runs(self, monkeypatch):
+        import regcycle.verify as verify
+
+        def never(*args):
+            raise AssertionError("no line may run past the cap")
+
+        monkeypatch.setattr(verify, "_checked", never)
+        with pytest.raises(DomainCapError, match="m=8 has 3564 points, cap is 1000"):
+            suite_ksets(RunConfig(domain_cap=1000), oracle_m_max=8, scan_m_max=8)
 
 
 class TestSuitePartitions:
