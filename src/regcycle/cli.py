@@ -108,6 +108,24 @@ class GroupContext:
     data: Optional[DiagonalGroupData] = None
 
 
+def _price_diagonal_tables(n: int, cap: int) -> None:
+    """Raise DomainCapError when the |Alt(n)|^2 entries of the
+    DiagonalGroupData multiplication table pass the cap.
+
+    The price is built degree by degree and stops at the first degree k
+    past the cap, so a huge n is priced in bounded time; for k < n the
+    error names alt(k)'s price as a lower bound.
+    """
+    order = 1
+    for k in range(3, n + 1):
+        order *= k  # |Alt(k)| = k!/2
+        if order * order > cap:
+            subject = f"diagonal group alt{k} tables"
+            if k < n:
+                subject += f" (a lower bound for alt{n})"
+            raise DomainCapError(order * order, cap, subject)
+
+
 def parse_group(text: str, config: RunConfig) -> GroupContext:
     head, _, rest = text.partition(":")
     if head in ("sym", "alt"):
@@ -147,6 +165,7 @@ def parse_group(text: str, config: RunConfig) -> GroupContext:
         n, copies = _int_pair(rest, ",", text)
         if n < 4 or copies < 1:
             raise SpecError(f"{text!r}: need an alternating degree >= 4 and copies >= 1")
+        _price_diagonal_tables(n, config.domain_cap)
         target = alternating_group(n, cap=config.group_cap)
         ambient = symmetric_group(n, cap=config.group_cap)
         data = DiagonalGroupData.build(

@@ -7,6 +7,15 @@ arithmetic is table driven; the supported orders are small enough that the
 q x q tables are built eagerly and cached.
 
 Vectors are rows and matrices act on the right: ``w -> w * M``.
+
+Matrix products, ``vec_mul``, ``inverse`` and the affine maps read the
+field's nested-list tables ``_add``/``_mul`` (and ``_neg``/``_inv`` in the
+elimination) as locals: one row lookup per scalar factor, then one index
+per product term, with the right factor walked column by column. Their
+results come from those tables, so they are built through the internal
+constructors ``Matrix._raw`` and ``AffineMap._raw``, which skip the
+per-entry range check and the invertibility elimination of the public
+constructors.
 """
 
 from __future__ import annotations
@@ -195,13 +204,24 @@ class Matrix:
         self._hash = hash((field.q, rows, cols, entries))
 
     @classmethod
+    def _raw(cls, field: Field, rows: int, cols: int, entries: tuple[int, ...]) -> "Matrix":
+        # Internal constructor for entries read from the field tables.
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        m._hash = hash((field.q, rows, cols, entries))
+        return m
+
+    @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence[int]]) -> "Matrix":
         flat = [v for row in rows for v in row]
         return cls(field, len(rows), len(rows[0]), flat)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return cls._raw(field, n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -210,28 +230,38 @@ class Matrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
+    def _columns(self) -> list[tuple[int, ...]]:
+        c = self.cols
+        return [self.entries[j::c] for j in range(c)]
+
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows or self.field is not other.field:
             raise ValueError("incompatible shapes or fields")
-        f = self.field
+        add, mul = self.field._add, self.field._mul
+        n = self.cols
+        cols = other._columns()
+        entries = self.entries
         out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
+        for start in range(0, len(entries), n):
+            factors = [mul[v] for v in entries[start : start + n]]
+            for col in cols:
                 acc = 0
-                for k in range(self.cols):
-                    acc = f.add(acc, f.mul(ri[k], other[k, j]))
+                for fac, v in zip(factors, col):
+                    acc = add[acc][fac[v]]
                 out.append(acc)
-        return Matrix(self.field, self.rows, other.cols, out)
+        return Matrix._raw(self.field, self.rows, other.cols, tuple(out))
 
     def vec_mul(self, w: Sequence[int]) -> tuple[int, ...]:
         """Row vector times matrix."""
-        f = self.field
+        if len(w) != self.rows:
+            raise ValueError("vector length does not match the matrix")
+        add, mul = self.field._add, self.field._mul
+        factors = [mul[v] for v in w]
         out = []
-        for j in range(self.cols):
+        for col in self._columns():
             acc = 0
-            for i in range(self.rows):
-                acc = f.add(acc, f.mul(w[i], self[i, j]))
+            for fac, v in zip(factors, col):
+                acc = add[acc][fac[v]]
             out.append(acc)
         return tuple(out)
 
@@ -239,19 +269,22 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("not square")
         f, n = self.field, self.rows
-        aug = [list(self.row(i)) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
+        add, mul, neg, inv = f._add, f._mul, f._neg, f._inv
+        aug = [list(self.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
         for col in range(n):
             pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
             if pivot is None:
                 raise ValueError("matrix is singular")
             aug[col], aug[pivot] = aug[pivot], aug[col]
-            piv_inv = f.inv(aug[col][col])
-            aug[col] = [f.mul(piv_inv, v) for v in aug[col]]
+            scale = mul[inv[aug[col][col]]]
+            lead = aug[col] = [scale[v] for v in aug[col]]
             for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    c = aug[r][col]
-                    aug[r] = [f.sub(v, f.mul(c, w)) for v, w in zip(aug[r], aug[col])]
-        return Matrix(f, n, n, [v for row in aug for v in row[n:]])
+                c = aug[r][col]
+                if r != col and c != 0:
+                    # row_r - c * lead, as row_r + (-c) * lead.
+                    minus_c = mul[neg[c]]
+                    aug[r] = [add[v][minus_c[w]] for v, w in zip(aug[r], lead)]
+        return Matrix._raw(f, n, n, tuple(v for row in aug for v in row[n:]))
 
     def is_invertible(self) -> bool:
         try:
@@ -278,8 +311,9 @@ class Matrix:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other: object) -> bool:
@@ -299,17 +333,26 @@ class Matrix:
 
 
 def matrix_rank(field: Field, vectors: Iterable[Sequence[int]]) -> int:
-    """Rank of a set of row vectors, by Gaussian elimination."""
-    basis: list[list[int]] = []
+    """Rank of a set of row vectors, by Gaussian elimination.
+
+    Stops reading vectors once the basis holds as many vectors as the
+    vectors have coordinates: the rank is then full."""
+    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
+    # Each basis row with its lead position, the lead entry scaled to 1.
+    basis: list[tuple[int, list[int]]] = []
     for vec in vectors:
         v = list(vec)
-        for b in basis:
-            lead = next(i for i, x in enumerate(b) if x != 0)
-            if v[lead] != 0:
-                c = field.mul(v[lead], field.inv(b[lead]))
-                v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, b)]
-        if any(x != 0 for x in v):
-            basis.append(v)
+        for lead, b in basis:
+            c = v[lead]
+            if c != 0:
+                minus_c = mul[neg[c]]
+                v = [add[x][minus_c[y]] for x, y in zip(v, b)]
+        lead = next((i for i, x in enumerate(v) if x != 0), None)
+        if lead is not None:
+            scale = mul[inv[v[lead]]]
+            basis.append((lead, [scale[x] for x in v]))
+            if len(basis) == len(v):
+                break
     return len(basis)
 
 
@@ -330,6 +373,15 @@ class AffineMap:
         if not self.linear.is_invertible():
             raise ValueError("linear part must be invertible")
 
+    @classmethod
+    def _raw(cls, linear: Matrix, translation: tuple[int, ...]) -> "AffineMap":
+        # Internal constructor for parts built from valid maps: skips the
+        # elimination in __post_init__.
+        f = object.__new__(cls)
+        object.__setattr__(f, "linear", linear)
+        object.__setattr__(f, "translation", translation)
+        return f
+
     @property
     def field(self) -> Field:
         return self.linear.field
@@ -339,17 +391,19 @@ class AffineMap:
         return self.linear.rows
 
     def apply(self, w: Sequence[int]) -> tuple[int, ...]:
-        f = self.field
+        add = self.field._add
         img = self.linear.vec_mul(w)
-        return tuple(f.add(a, b) for a, b in zip(img, self.translation))
+        return tuple([add[a][b] for a, b in zip(img, self.translation)])
 
     def compose(self, other: "AffineMap") -> "AffineMap":
-        """Apply self first, then other."""
+        """Apply self first, then other.
+
+        A composite of invertible maps is invertible, so the product is
+        built without the constructor's elimination."""
         lin = self.linear * other.linear
+        add = self.field._add
         trans = other.linear.vec_mul(self.translation)
-        f = self.field
-        trans = tuple(f.add(a, b) for a, b in zip(trans, other.translation))
-        return AffineMap(lin, trans)
+        return AffineMap._raw(lin, tuple([add[a][b] for a, b in zip(trans, other.translation)]))
 
     __mul__ = compose
 
@@ -359,11 +413,13 @@ class AffineMap:
         Acting on row vectors (w, 1) it reproduces the affine map, so orders
         and regular-vector questions transfer to the linear setting."""
         f, d = self.field, self.dimension
-        entries = []
+        entries: list[int] = []
         for i in range(d):
-            entries.extend(list(self.linear.row(i)) + [0])
-        entries.extend(list(self.translation) + [1])
-        return Matrix(f, d + 1, d + 1, entries)
+            entries.extend(self.linear.row(i))
+            entries.append(0)
+        entries.extend(self.translation)
+        entries.append(1)
+        return Matrix._raw(f, d + 1, d + 1, tuple(entries))
 
     def order(self) -> int:
         return self.embed().order()

@@ -54,23 +54,6 @@ class GeneratedGroup:
     def is_subgroup_of(self, other: "GeneratedGroup") -> bool:
         return self.degree == other.degree and all(g in other for g in self.elements)
 
-    def conjugacy_class(self, g: Permutation) -> tuple[Permutation, ...]:
-        """The class of g, by closure under conjugation by the generators."""
-        if g not in self:
-            raise ValueError("element not in group")
-        seen = {g}
-        frontier = [g]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in self.generators:
-                    y = x.conj(s)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return tuple(sorted(seen))
-
     def centralizer_of_subgroup(self, other: "GeneratedGroup") -> list[Permutation]:
         """Elements commuting with every generator of ``other``."""
         return [a for a in self.elements if all(a * t == t * a for t in other.generators)]

@@ -331,10 +331,6 @@ class Factorization:
         return len(self.prime_powers)
 
     @property
-    def radical(self) -> int:
-        return math.prod(p for p, _ in self.prime_powers)
-
-    @property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.prime_powers)
 

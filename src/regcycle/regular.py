@@ -110,11 +110,6 @@ def render_element(g) -> str:
     return str(g)
 
 
-def fraction_str(x: Fraction) -> str:
-    """Exact rational as 'p/q', denominator always explicit."""
-    return f"{x.numerator}/{x.denominator}"
-
-
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of a regular-cycle decision for one element and action."""
@@ -264,28 +259,6 @@ def decide_fix_union(action: Action, g) -> Verdict:
     certify_regular(action, g, action.point(witness_idx), order)
     witness = action.point_json(witness_idx)
     return _verdict(action, g, "fix_union", order, induced, True, witness, flags)
-
-
-def lift_witness(action: Action, g, p: int, w):
-    """Promote a regular point of g^p to a regular point of g.
-
-    Requires p prime with p^2 dividing |g| and the g^p-orbit of w of length
-    |g|/p. Then |g|/p has the same prime divisors as |g|, and the powers
-    (g^p)^((|g|/p)/r) are the powers g^(|g|/r): w is regular under g^p
-    exactly when it is regular under g, and one certification checks both.
-    The returned point is w itself. Raises ValueError when w is not regular.
-    """
-    order = action.element_order(g)
-    exps = dict(factorize(order).prime_powers)
-    if exps.get(p, 0) < 2:
-        raise ValueError(f"p={p} must be a prime with p^2 dividing |g|={order}")
-    try:
-        certify_regular(action, g, w, order)
-    except AssertionError as exc:
-        raise ValueError(
-            f"the orbit of w under g^{p} does not have length {order // p}: {exc}"
-        ) from None
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +633,11 @@ def _certified_partition(
     """The 1-based canonical form of a 0-based block system, certified."""
     result = canonical_blocks(blocks)
     flat = sorted(v for blk in result for v in blk)
-    assert flat == list(range(a * b)), "blocks do not partition the domain"
-    assert all(len(blk) == a for blk in result) and len(result) == b
+    # Raised explicitly, so that the check also runs under python -O.
+    if flat != list(range(a * b)):
+        raise AssertionError("blocks do not partition the domain")
+    if len(result) != b or any(len(blk) != a for blk in result):
+        raise AssertionError(f"blocks are not {b} blocks of size {a}")
     witness = tuple(tuple(v + 1 for v in blk) for blk in result)
     certify_regular(PartitionsAction(a, b), g, witness, g.order())
     return witness
@@ -749,48 +725,76 @@ class SpanningSet:
     spans: bool
 
 
+def confirmed_order(m: Matrix, order: int) -> int:
+    """Return `order` once m ** order is checked to be the identity.
+
+    The linear witnesses read `order` as the lcm of the orbit lengths of
+    m's action on all vectors. Each orbit length divides the order of m,
+    and the action is faithful, so the lcm divides the order; the power,
+    O(log order) products, shows the order divides the lcm. Raises
+    ValueError when m is singular and AssertionError when m is invertible
+    but m ** order is not the identity. Both are explicit raises, so the
+    check also runs under python -O.
+    """
+    if m ** order != Matrix.identity(m.field, m.rows):
+        if not m.is_invertible():
+            raise ValueError("matrix is singular")
+        raise AssertionError(f"m^{order} is not the identity")
+    return order
+
+
+def _orbit_lengths_and_order(action: VectorsAction, m: Matrix) -> tuple[np.ndarray, int]:
+    """Orbit length of each vector under m, and m's order confirmed from them."""
+    lengths = orbit_length_array(action.induced_images(m))
+    return lengths, confirmed_order(m, math.lcm(*set(lengths.tolist())))
+
+
 def gl_regular_vector_set(m: Matrix) -> SpanningSet:
     """All vectors on full-length orbits under m, with a span check.
 
     Vectors are external field-code tuples in action index order. `spans`
-    is True when they span the whole row space.
+    is True when they span the whole row space. The order of m is not
+    walked: it is the lcm of the orbit lengths on the vectors, confirmed
+    by `confirmed_order`. A singular m raises ValueError.
     """
     d = m.rows
     q = m.field.q
     action = VectorsAction(d, q)
-    order = m.order()
-    regular_idx = np.flatnonzero(orbit_length_array(action.induced_images(m)) == order)
-    vectors = tuple(action.point(i) for i in regular_idx.tolist())
-    spans = bool(vectors) and matrix_rank(m.field, list(vectors)) == d
+    lengths, order = _orbit_lengths_and_order(action, m)
+    # The codec decodes the whole index array at once; vector points are
+    # the digits themselves (field codes, offset 0).
+    digits = action._decode(np.flatnonzero(lengths == order))
+    vectors = tuple(zip(*[column.tolist() for column in digits]))
+    spans = bool(vectors) and matrix_rank(m.field, vectors) == d
     return SpanningSet(matrix=m, regular_vectors=vectors, spans=spans)
 
 
 def affine_witness(f: AffineMap) -> tuple[int, ...]:
     """Certified regular vector for an affine map.
 
-    Scans the embedded (d+1)-dimensional linear action for the first
-    regular vector with nonzero last coordinate, rescales it so the last
+    Takes the first regular vector with nonzero last coordinate of the
+    embedded (d+1)-dimensional linear action, rescales it so the last
     coordinate is 1 (orbit lengths are invariant under global scaling,
     since the embedded matrix commutes with scalars), and reads off the
-    affine part.
+    affine part. Indices pack the first coordinate fastest, so those
+    vectors are exactly the indices from q^d on. The order is the lcm of
+    the embedded orbit lengths, confirmed by `confirmed_order` on the
+    embedded matrix, whose order is the map's.
     """
     d = f.dimension
     q = f.field.q
-    emb = f.embed()
-    order = f.order()
     big = VectorsAction(d + 1, q)
-    lengths = orbit_length_array(big.induced_images(emb))
+    lengths, order = _orbit_lengths_and_order(big, f.embed())
+    offset = q**d
+    found = np.flatnonzero(lengths[offset:] == order)
+    if found.size == 0:
+        raise ValueError("no regular affine vector exists for this map")
+    vec = big.point(int(found[0]) + offset)
     fld = f.field
-    for idx in np.flatnonzero(lengths == order).tolist():
-        vec = big.point(idx)
-        lam = vec[d]
-        if lam == 0:
-            continue
-        lam_inv = fld.inv(lam)
-        w = tuple(fld.mul(lam_inv, vec[j]) for j in range(d))
-        certify_regular(AffineVectorsAction(d, q), f, w, order)
-        return w
-    raise ValueError("no regular affine vector exists for this map")
+    lam_inv = fld.inv(vec[d])
+    w = tuple(fld.mul(lam_inv, v) for v in vec[:d])
+    certify_regular(AffineVectorsAction(d, q), f, w, order)
+    return w
 
 
 # ---------------------------------------------------------------------------

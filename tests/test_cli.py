@@ -5,6 +5,7 @@ import json
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,29 @@ class TestDecide:
             "--cap", "2",
         )
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize(
+        "group,message",
+        [
+            ("diag:8,1", "diagonal group alt8 tables has 406425600 points, cap is 10000000"),
+            (
+                "diag:100000,1",
+                "diagonal group alt8 tables (a lower bound for alt100000) has 406425600 points, "
+                "cap is 10000000",
+            ),
+        ],
+    )
+    def test_diagonal_tables_priced_before_closure(self, group, message):
+        # The alt(8) multiplication table alone would be 20160^2 int64 entries.
+        start = time.perf_counter()
+        proc = run_cli(
+            "decide", "--group", group,
+            "--element", "sigma=();phi=1;m=2", "--action", "diagonal",
+        )
+        assert time.perf_counter() - start < 20
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.strip().splitlines() == [f"regcycle: {message}"]
 
     def test_mismatched_action_exit_2(self):
         proc = run_cli(

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regcycle.gfalgebra import (
     SUPPORTED_ORDERS,
@@ -125,6 +127,104 @@ class TestMatrix:
         assert matrix_rank(f, [(1, 0, 1), (0, 1, 1), (1, 1, 0)]) == 2
         assert matrix_rank(f, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 3
 
+    def test_rank_stops_reading_at_full_rank(self):
+        f = field_ops(3)
+
+        def vectors():
+            yield (1, 0)
+            yield (0, 1)
+            raise AssertionError("read past a full basis")
+
+        assert matrix_rank(f, vectors()) == 2
+
+    def test_vec_mul_rejects_wrong_length(self):
+        f = field_ops(5)
+        with pytest.raises(ValueError):
+            Matrix.identity(f, 2).vec_mul((1, 2, 3))
+
+
+# Reference arithmetic written out from the public field operations.
+
+
+def ref_product(f, a: Matrix, b: Matrix) -> tuple[int, ...]:
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = 0
+            for k in range(a.cols):
+                acc = f.add(acc, f.mul(a[i, k], b[k, j]))
+            out.append(acc)
+    return tuple(out)
+
+
+def ref_determinant(f, m: Matrix) -> int:
+    """Leibniz formula: sum over permutations of signed entry products."""
+    n = m.rows
+    det = 0
+    for perm in itertools.permutations(range(n)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = f.mul(term, m[i, j])
+        inversions = sum(1 for i, j in itertools.combinations(perm, 2) if i > j)
+        det = f.add(det, f.neg(term) if inversions % 2 else term)
+    return det
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None, q=None):
+    q = draw(st.sampled_from(SUPPORTED_ORDERS)) if q is None else q
+    rows = draw(st.integers(1, 4)) if rows is None else rows
+    cols = draw(st.integers(1, 4)) if cols is None else cols
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=rows * cols, max_size=rows * cols))
+    return Matrix(field_ops(q), rows, cols, entries)
+
+
+@st.composite
+def matrix_pairs(draw):
+    q = draw(st.sampled_from(SUPPORTED_ORDERS))
+    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
+    return draw(matrices(r, k, q)), draw(matrices(k, c, q))
+
+
+class TestTableArithmetic:
+    @settings(max_examples=300, deadline=None)
+    @given(matrix_pairs())
+    def test_product_matches_reference(self, pair):
+        a, b = pair
+        prod = a * b
+        assert (prod.rows, prod.cols) == (a.rows, b.cols)
+        assert prod.entries == ref_product(a.field, a, b)
+        # The internal constructor gives a matrix equal to a validated one.
+        assert prod == Matrix(a.field, prod.rows, prod.cols, prod.entries)
+        assert hash(prod) == hash(Matrix(a.field, prod.rows, prod.cols, prod.entries))
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices())
+    def test_vec_mul_matches_reference(self, m):
+        f = m.field
+        for w in itertools.islice(itertools.product(range(f.q), repeat=m.rows), 50):
+            row = Matrix(f, 1, m.rows, w)
+            assert m.vec_mul(w) == ref_product(f, row, m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: matrices(n, n)))
+    def test_inverse_matches_reference(self, m):
+        f, n = m.field, m.rows
+        ident = Matrix.identity(f, n)
+        if ref_determinant(f, m) == 0:
+            assert not m.is_invertible()
+            with pytest.raises(ValueError):
+                m.inverse()
+            return
+        inv = m.inverse()
+        assert ref_product(f, m, inv) == ident.entries
+        assert ref_product(f, inv, m) == ident.entries
+        assert inv == Matrix(f, n, n, inv.entries)
+
+    def test_product_rejects_mixed_fields(self):
+        with pytest.raises(ValueError):
+            Matrix.identity(field_ops(3), 2) * Matrix.identity(field_ops(5), 2)
+
 
 class TestAffineMap:
     def test_apply(self):
@@ -157,6 +257,41 @@ class TestAffineMap:
         f = field_ops(2)
         with pytest.raises(ValueError):
             AffineMap(Matrix.from_rows(f, [[1, 1], [1, 1]]), (0, 0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_compose_equals_validated_construction(self, data):
+        q = data.draw(st.sampled_from(SUPPORTED_ORDERS))
+        d = data.draw(st.integers(1, 3))
+        f = field_ops(q)
+        entry = st.integers(0, q - 1)
+
+        def invertible():
+            # Unit lower triangular times upper triangular with a nonzero
+            # diagonal: invertible, and the identity at the smallest draw.
+            lower = [int(i == j) if i <= j else data.draw(entry) for i in range(d) for j in range(d)]
+            upper = [
+                data.draw(st.integers(1, q - 1)) if i == j else data.draw(entry) if i < j else 0
+                for i in range(d)
+                for j in range(d)
+            ]
+            return Matrix(f, d, d, ref_product(f, Matrix(f, d, d, lower), Matrix(f, d, d, upper)))
+
+        a, b = (
+            AffineMap(invertible(), tuple(data.draw(entry) for _ in range(d))) for _ in range(2)
+        )
+        ab = a.compose(b)
+        # w*La*Lb + (ta*Lb + tb), each part from the reference arithmetic,
+        # through the validating constructor.
+        lin = Matrix(f, d, d, ref_product(f, a.linear, b.linear))
+        shifted = ref_product(f, Matrix(f, 1, d, a.translation), b.linear)
+        tra = tuple(f.add(x, y) for x, y in zip(shifted, b.translation))
+        expected = AffineMap(lin, tra)
+        assert ab == expected
+        assert hash(ab) == hash(expected)
+        assert ab.embed() == a.embed() * b.embed()
+        for w in itertools.islice(itertools.product(range(q), repeat=d), 30):
+            assert ab.apply(w) == b.apply(a.apply(w))
 
 
 class TestProjective:

@@ -61,23 +61,6 @@ class TestClosure:
         assert len(set(perms)) == 24
 
 
-class TestConjugacy:
-    def test_six_cycles_class(self):
-        g = symmetric_group(6)
-        cls = g.conjugacy_class(parse_cycles("(1 2 3 4 5 6)", 6))
-        assert len(cls) == 120  # 6!/6 by orbit-stabilizer
-        assert all(x.cycle_type().parts == (6,) for x in cls)
-
-    def test_class_of_identity(self):
-        g = symmetric_group(4)
-        assert g.conjugacy_class(g.identity()) == (g.identity(),)
-
-    def test_transpositions_in_sym5(self):
-        g = symmetric_group(5)
-        cls = g.conjugacy_class(parse_cycles("(1 2)", 5))
-        assert len(cls) == 10
-
-
 class TestProjectiveGroups:
     def test_pgl2_5(self):
         g = pgl2(5)

@@ -151,7 +151,6 @@ class TestPrimes:
         f = factorize(1)
         assert f.prime_powers == ()
         assert f.omega == 0
-        assert f.radical == 1
 
     def test_factorize_reconstruction_small_sweep(self):
         for n in range(1, 20001):

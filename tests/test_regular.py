@@ -6,6 +6,8 @@ arithmetic on external values, never through action index tables.
 """
 
 import math
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -32,6 +34,7 @@ from regcycle.groups import (
     all_permutations,
     alternating_group,
     closure,
+    gl_elements,
     symmetric_group,
 )
 from regcycle.permcore import (
@@ -39,6 +42,7 @@ from regcycle.permcore import (
     Permutation,
     cycle_types,
     nk_threshold,
+    orbit_partition,
     parse_cycles,
     render_cycles,
 )
@@ -51,19 +55,20 @@ from regcycle.regular import (
     DomainCapError,
     PartitionCaseError,
     Verdict,
+    _certified_partition,
+    _orbit_lengths_and_order,
     affine_witness,
     certify_regular,
+    confirmed_order,
     decide,
     decide_bruteforce,
     decide_fix_union,
     diagonal_fpr_audit,
-    fraction_str,
     gl_regular_vector_set,
     kset_decide,
     kset_verdict,
     kset_witness,
     ksets_theorem_scan,
-    lift_witness,
     min_cover,
     partition_witness,
     product_witness,
@@ -187,12 +192,6 @@ class TestVerdict:
     def test_rejects_induced_above_order(self):
         with pytest.raises(ValueError):
             Verdict(2, 4, True, None, "bruteforce", True)
-
-    def test_fraction_str(self):
-        assert fraction_str(Fraction(1, 3)) == "1/3"
-        assert fraction_str(Fraction(2)) == "2/1"
-        assert fraction_str(Fraction(0)) == "0/1"
-
 
 class TestRenderElement:
     def test_permutation(self):
@@ -346,50 +345,6 @@ class TestDecideFixUnion:
             decide_fix_union(a, g).has_regular_cycle
             == decide_fix_union(a, g.conj(c)).has_regular_cycle
         )
-
-
-class TestLiftWitness:
-    def test_four_cycle(self):
-        g = parse_cycles("(1 2 3 4)", 4)
-        assert lift_witness(NaturalAction(4), g, 2, 1) == 1
-
-    def test_nine_cycle(self):
-        g = parse_cycles("(1 2 3 4 5 6 7 8 9)", 9)
-        assert lift_witness(NaturalAction(9), g, 3, 5) == 5
-
-    def test_rejects_p_without_square(self):
-        g = parse_cycles("(1 2 3 4 5 6)", 6)
-        with pytest.raises(ValueError):
-            lift_witness(NaturalAction(6), g, 2, 1)
-
-    def test_rejects_nonregular_base_point(self):
-        g = parse_cycles("(1 2 3 4)(5 6)", 6)
-        # 5 is fixed by g^2, so its g^2-orbit has length 1, not |g|/2 = 2.
-        with pytest.raises(ValueError):
-            lift_witness(NaturalAction(6), g, 2, 5)
-
-    @settings(max_examples=60, deadline=None)
-    @given(perm_strategy(9))
-    def test_lift_property(self, g):
-        order = g.order()
-        for p in (2, 3):
-            if order % (p * p) != 0:
-                continue
-            a = NaturalAction(9)
-            gp = g**p
-            target = order // p
-            for start in range(1, 10):
-                cur = start
-                steps = 0
-                while True:
-                    cur = gp.images[cur - 1] + 1
-                    steps += 1
-                    if cur == start or steps > target:
-                        break
-                if steps == target:
-                    w = lift_witness(a, g, p, start)
-                    assert kset_orbit_length(g, (w,)) == order
-                    break
 
 
 class TestCertifyRegular:
@@ -824,6 +779,119 @@ class TestAffineWitness:
                         cur = a.apply(cur)
                         steps += 1
                     assert steps == a.order()
+
+
+def brute_regular_indices(action: VectorsAction, m: Matrix) -> list[int]:
+    """Indices on orbits as long as the walked order of m, read from
+    orbit_partition of the image array."""
+    order = m.order()
+    orbits = orbit_partition(list(action.induced_images(m)))
+    return sorted(i for orb in orbits if len(orb) == order for i in orb)
+
+
+def brute_spans(field, vectors, d: int) -> bool:
+    """Whether the vectors span GF(q)^d, by closing their span under
+    adding multiples."""
+    span = {(0,) * d}
+    for v in vectors:
+        span = {
+            tuple(field.add(s, field.mul(c, x)) for s, x in zip(vec, v))
+            for vec in span
+            for c in range(field.q)
+        }
+    return len(span) == field.q**d
+
+
+class TestLinearOrder:
+    @pytest.mark.parametrize("d,q", [(2, 3), (2, 4), (3, 2)])
+    def test_image_order_equals_walk_on_gl(self, d, q):
+        action = VectorsAction(d, q)
+        for m in gl_elements(d, q):
+            assert _orbit_lengths_and_order(action, m)[1] == m.order(), m
+
+    def test_image_order_equals_walk_on_agl23(self):
+        big = VectorsAction(3, 3)
+        for lin in gl_elements(2, 3):
+            for tra in product(range(3), repeat=2):
+                f = AffineMap(lin, tra)
+                assert _orbit_lengths_and_order(big, f.embed())[1] == f.order()
+
+    def test_singular_matrix_raises_value_error(self):
+        f = field_ops(3)
+        singular = Matrix.from_rows(f, [[1, 2], [2, 1]])
+        with pytest.raises(ValueError, match="singular"):
+            confirmed_order(singular, 2)
+        with pytest.raises(ValueError, match="singular"):
+            gl_regular_vector_set(singular)
+
+    def test_wrong_order_raises(self):
+        f = field_ops(5)
+        m = Matrix.from_rows(f, [[1, 1], [0, 1]])  # order 5
+        assert confirmed_order(m, 5) == 5
+        for wrong in (1, 2, 4, 6):
+            with pytest.raises(AssertionError, match=rf"m\^{wrong} is not the identity"):
+                confirmed_order(m, wrong)
+
+    def test_gl25_equals_brute_force(self):
+        d, q = 2, 5
+        action = VectorsAction(d, q)
+        field = field_ops(q)
+        for m in gl_elements(d, q):
+            ss = gl_regular_vector_set(m)
+            expected = tuple(action.point(i) for i in brute_regular_indices(action, m))
+            assert ss.regular_vectors == expected, m
+            assert ss.spans == brute_spans(field, expected, d), m
+
+    def test_agl23_equals_brute_force(self):
+        d, q = 2, 3
+        big = VectorsAction(d + 1, q)
+        field = field_ops(q)
+        for lin in gl_elements(d, q):
+            for tra in product(range(q), repeat=d):
+                f = AffineMap(lin, tra)
+                # The first regular embedded vector whose last coordinate
+                # is nonzero, scaled so that coordinate is 1.
+                vec = next(
+                    big.point(i)
+                    for i in brute_regular_indices(big, f.embed())
+                    if big.point(i)[d] != 0
+                )
+                scale = field.inv(vec[d])
+                expected = tuple(field.mul(scale, v) for v in vec[:d])
+                assert affine_witness(f) == expected, f
+
+
+class TestChecksUnderOptimize:
+    def test_checks_raise_under_python_O(self):
+        # Each check meets a bad input; under -O an `assert` would not run.
+        script = (
+            "import sys\n"
+            "from regcycle.actions import NaturalAction\n"
+            "from regcycle.gfalgebra import Matrix, field_ops\n"
+            "from regcycle.permcore import parse_cycles\n"
+            "from regcycle.regular import _certified_partition, certify_regular, confirmed_order\n"
+            "if sys.flags.optimize < 1:\n"
+            "    sys.exit('not running under -O')\n"
+            "g = parse_cycles('(1 2 3 4)(5 6)', 6)\n"
+            "cases = [\n"
+            "    lambda: certify_regular(NaturalAction(6), g, 5, 4),\n"
+            "    lambda: _certified_partition(g, 2, 3, [[0, 1], [2, 3], [4, 4]]),\n"
+            "    lambda: _certified_partition(g, 2, 3, [[0, 1, 2], [3, 4, 5]]),\n"
+            "    lambda: confirmed_order(Matrix.from_rows(field_ops(5), [[1, 1], [0, 1]]), 4),\n"
+            "]\n"
+            "for i, case in enumerate(cases):\n"
+            "    try:\n"
+            "        case()\n"
+            "    except AssertionError:\n"
+            "        continue\n"
+            "    sys.exit(f'case {i} did not raise')\n"
+            "print('ok')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n"
 
 
 # ---------------------------------------------------------------------------
