@@ -50,7 +50,6 @@ from .permcore import (
     nk_threshold,
     orbit_length_array,
     orbit_partition,
-    order_and_type,
     parse_cycles,
     primes_upto,
     render_cycles,
@@ -66,7 +65,6 @@ from .regular import (
     diagonal_fpr_audit,
     gl_regular_vector_set,
     kset_decide,
-    kset_verdict,
     kset_witness,
     ksets_theorem_scan,
     partition_witness,
@@ -155,7 +153,6 @@ __all__ = [
     "gl_regular_vector_set",
     "group_profile",
     "kset_decide",
-    "kset_verdict",
     "kset_witness",
     "ksets_theorem_scan",
     "landau_exact",
@@ -165,7 +162,6 @@ __all__ = [
     "orbit_length_array",
     "orbit_lengths",
     "orbit_partition",
-    "order_and_type",
     "parse_cycles",
     "partition_witness",
     "pgammal2_9",

@@ -27,8 +27,11 @@ coset actions.
 `orbit_lengths` and `images_order` read orbit sizes off an image array with
 the pointer-doubling kernel of `permcore`; nothing here walks an orbit.
 `element_order` is the order of g itself, which a kernel of the action may
-divide down on the points. The diagonal action reads it from the element's
-slot permutation and coordinate maps, without building its image array.
+divide down on the points. It first runs the action's `_check`, which
+raises ValueError for an element of the wrong shape: the wrong degree on
+the natural, k-set and partition actions. The diagonal action reads the
+order from the element's slot permutation and coordinate maps, without
+building its image array.
 
 All actions are right actions: apply(g * h, i) == apply(h, apply(g, i)).
 """
@@ -36,7 +39,6 @@ All actions are right actions: apply(g * h, i) == apply(h, apply(g, i)).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -58,33 +60,20 @@ def images_order(images: Sequence[int]) -> int:
 
 
 def fixed_count(images: Sequence[int]) -> int:
-    if isinstance(images, np.ndarray):
-        return int((images == np.arange(len(images))).sum())
-    return sum(1 for i, v in enumerate(images) if i == v)
+    return int(np.count_nonzero(np.asarray(images) == np.arange(len(images))))
 
 
 def power_images(images: Sequence[int], exponent: int) -> Sequence[int]:
     """Image array of the exponent-th power, by square and multiply."""
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
-    n = len(images)
-    if n >= 4096 or isinstance(images, np.ndarray):
-        base = np.asarray(images, dtype=np.int64)
-        acc = np.arange(n, dtype=np.int64)
-        e = exponent
-        while e:
-            if e & 1:
-                acc = base[acc]
-            base = base[base]
-            e >>= 1
-        return acc
-    base = list(images)
-    acc = list(range(n))
+    base = np.asarray(images, dtype=np.int64)
+    acc = np.arange(len(base), dtype=np.int64)
     e = exponent
     while e:
         if e & 1:
-            acc = [base[v] for v in acc]
-        base = [base[v] for v in base]
+            acc = base[acc]
+        base = base[base]
         e >>= 1
     return acc
 
@@ -101,8 +90,12 @@ class Action:
     # Whether index-based access can list every point.
     listable = True
 
+    def _check(self, g) -> None:
+        """Raise ValueError when g does not fit the action."""
+
     def element_order(self, g) -> int:
-        raise NotImplementedError
+        self._check(g)
+        return g.order()
 
     def apply(self, g, idx: int) -> int:
         return self.index(self.apply_external(g, self.point(idx)))
@@ -127,15 +120,19 @@ class Action:
     def apply_external(self, g, pt):
         return self.point(self.apply(g, self.index(pt)))
 
-    def fix_count(self, g) -> int:
-        return fixed_count(self.induced_images(g))
 
-    def fpr(self, g) -> Fraction:
-        return Fraction(self.fix_count(g), self.size)
+def _check_degree(action, g: Permutation) -> None:
+    """The `_check` of the actions of Sym(degree) on sets built from {1..degree}."""
+    if g.degree != action.degree:
+        raise ValueError(
+            f"element has degree {g.degree}, action {action.name} has degree {action.degree}"
+        )
 
 
 class NaturalAction(Action):
     """The defining action of permutations on {1..degree}."""
+
+    _check = _check_degree
 
     def __init__(self, degree: int):
         if degree < 1:
@@ -143,9 +140,6 @@ class NaturalAction(Action):
         self.degree = degree
         self.size = degree
         self.name = f"natural:{degree}"
-
-    def element_order(self, g: Permutation) -> int:
-        return g.order()
 
     def apply(self, g: Permutation, idx: int) -> int:
         return g.images[idx]
@@ -199,6 +193,8 @@ class KSetsAction(Action):
     call, so an action that is never listed never builds them.
     """
 
+    _check = _check_degree
+
     def __init__(self, degree: int, k: int):
         if degree < 1:
             raise ValueError("degree must be positive")
@@ -210,9 +206,6 @@ class KSetsAction(Action):
         self.name = f"ksets:{degree}:{k}"
         self._combos: np.ndarray | None = None
         self._binom: np.ndarray | None = None
-
-    def element_order(self, g: Permutation) -> int:
-        return g.order()
 
     def _unrank(self, idx: int) -> tuple[int, ...]:
         if not 0 <= idx < self.size:
@@ -346,6 +339,7 @@ class PartitionsAction(Action):
     """
 
     _ENUM_CAP = 2_000_000
+    _check = _check_degree
 
     def __init__(self, block_size: int, block_count: int):
         if block_size < 2 or block_count < 2:
@@ -360,9 +354,6 @@ class PartitionsAction(Action):
         self._weights: np.ndarray | None = None
         self._sorted_keys: np.ndarray | None = None
         self._key_order: np.ndarray | None = None
-
-    def element_order(self, g: Permutation) -> int:
-        return g.order()
 
     def _materialize(self) -> None:
         if self._enum is not None:
@@ -541,9 +532,6 @@ class TupleAction(Action):
         self.size = radix**length
         self.name = name
 
-    def _check(self, g) -> None:
-        """Raise ValueError when g does not fit the action."""
-
     def move(self, g, digits: list) -> list:
         raise NotImplementedError
 
@@ -615,10 +603,6 @@ class ProductAction(TupleAction):
         if g.base_degree != self.base_degree or g.copies != self.copies:
             raise ValueError("element shape does not match the action")
 
-    def element_order(self, g: WreathElement) -> int:
-        self._check(g)
-        return g.order()
-
     def move(self, g: WreathElement, digits: list) -> list:
         out = [0] * self.copies
         for comp, s, d in zip(g.components, g.top.images, digits):
@@ -643,10 +627,6 @@ class VectorsAction(TupleAction):
         if m.field.q != self.field.q or m.rows != self.dimension:
             raise ValueError("matrix shape does not match the action")
 
-    def element_order(self, m: Matrix) -> int:
-        self._check(m)
-        return m.order()
-
     def move(self, m: Matrix, digits: list) -> list:
         add, mul = self.field.add_table, self.field.mul_table
         out = []
@@ -668,10 +648,6 @@ class AffineVectorsAction(VectorsAction):
     def _check(self, m: AffineMap) -> None:
         if m.field.q != self.field.q or m.dimension != self.dimension:
             raise ValueError("affine map shape does not match the action")
-
-    def element_order(self, m: AffineMap) -> int:
-        self._check(m)
-        return m.order()
 
     def move(self, m: AffineMap, digits: list) -> list:
         add = self.field.add_table
@@ -711,9 +687,6 @@ class CosetsAction(Action):
         if self.size * subgroup.order != group.order:
             raise AssertionError("coset enumeration does not tile the group")
         self.name = f"cosets:{label or f'{group.order}/{subgroup.order}'}"
-
-    def element_order(self, g: Permutation) -> int:
-        return g.order()
 
     def apply(self, g: Permutation, idx: int) -> int:
         image = self._coset_of.get(self._reps[idx] * g)
@@ -818,6 +791,14 @@ class DiagonalElement:
         self.sigma = sigma
         self.phi = phi
         self.m = tuple(m)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DiagonalElement):
+            return NotImplemented
+        return (self.sigma, self.phi, self.m) == (other.sigma, other.phi, other.m)
+
+    def __hash__(self) -> int:
+        return hash((self.sigma, self.phi, self.m))
 
     def __repr__(self) -> str:
         return f"DiagonalElement({render_cycles(self.sigma)}, phi={self.phi}, m={self.m})"

@@ -25,7 +25,6 @@ the one the full interval evaluation gives:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -641,8 +640,6 @@ def e8_sweep(hi: int = 1024, margin: float = MARGIN) -> SweepReport:
 # ---------------------------------------------------------------------------
 # Minimal faithful degrees of the supported simple groups
 
-_MT_ENV = "REGCYCLE_MT_TABLE"
-
 _PSL2_SMALL_DEGREE = {5: 5, 7: 7, 9: 6, 11: 11}
 
 
@@ -670,34 +667,11 @@ class GroupProfile:
     omega_aut: int
 
 
-def _env_table() -> dict[tuple[str, int], GroupProfile]:
-    path = os.environ.get(_MT_ENV)
-    out: dict[tuple[str, int], GroupProfile] = {}
-    if not path:
-        return out
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 4:
-                raise ValueError(f"bad table row: {raw!r}")
-            fam, par, mt, wa = cols[0], int(cols[1]), int(cols[2]), int(cols[3])
-            out[(fam, par)] = GroupProfile(fam, par, mt, wa)
-    return out
-
-
 def group_profile(family: str, parameter: int) -> GroupProfile:
     """Minimal faithful degree and omega(|Aut|) for a named simple group.
 
-    Built-in families: 'alt' (degree n >= 5) and 'psl2' (prime power q >= 4).
-    A TSV file named by REGCYCLE_MT_TABLE (family, parameter, degree,
-    omega_aut) overrides or extends the built-ins.
+    Families: 'alt' (degree n >= 5) and 'psl2' (prime power q >= 4).
     """
-    override = _env_table().get((family, parameter))
-    if override is not None:
-        return override
     if family == "alt":
         n = parameter
         if n < 5:

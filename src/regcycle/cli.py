@@ -146,15 +146,15 @@ def parse_group(text: str, config: RunConfig) -> GroupContext:
         q = _int(rest, text)
         builder = pgl2 if head == "pgl2" else psl2
         try:
-            group = builder(q, cap=config.group_cap)
+            group = builder(q)
         except ValueError as exc:
             raise SpecError(f"{text!r}: {exc}") from None
         return GroupContext(spec=text, kind=head, degree=group.degree, q=q, group=group)
     if text == "m10":
-        group = m10(cap=config.group_cap)
+        group = m10()
         return GroupContext(spec=text, kind="m10", degree=10, group=group)
     if text == "pgammal2:9":
-        group = pgammal2_9(cap=config.group_cap)
+        group = pgammal2_9()
         return GroupContext(spec=text, kind="pgammal2", degree=10, group=group)
     if head == "wreath":
         n, copies = _int_pair(rest, ",", text)
@@ -166,8 +166,8 @@ def parse_group(text: str, config: RunConfig) -> GroupContext:
         if n < 4 or copies < 1:
             raise SpecError(f"{text!r}: need an alternating degree >= 4 and copies >= 1")
         _price_diagonal_tables(n, config.domain_cap)
-        target = alternating_group(n, cap=config.group_cap)
-        ambient = symmetric_group(n, cap=config.group_cap)
+        target = alternating_group(n)
+        ambient = symmetric_group(n)
         data = DiagonalGroupData.build(
             target, AmbientAutomorphisms.build(target, ambient), f"alt{n}"
         )
@@ -271,16 +271,19 @@ def contains(ctx: GroupContext, g) -> bool:
 
 
 def parse_action(text: str, ctx: GroupContext, config: RunConfig):
-    """Build the action named by text; every malformed spec is a SpecError."""
+    """Build the action named by text; every malformed spec is a SpecError.
+
+    No action reads config; it keeps the call shape of parse_group.
+    """
     try:
-        return _build_action(text, ctx, config)
+        return _build_action(text, ctx)
     except SpecError:
         raise
     except ValueError as exc:
         raise SpecError(f"{text!r}: {exc}") from None
 
 
-def _build_action(text: str, ctx: GroupContext, config: RunConfig):
+def _build_action(text: str, ctx: GroupContext):
     head, _, rest = text.partition(":")
     perm_like = ctx.kind in ("sym", "alt", "pgl2", "psl2", "m10", "pgammal2")
     if text == "natural" and perm_like:
@@ -295,7 +298,7 @@ def _build_action(text: str, ctx: GroupContext, config: RunConfig):
             )
         return PartitionsAction(a, b)
     if head == "cosets" and perm_like:
-        return _parse_cosets(rest, ctx, config)
+        return _parse_cosets(rest, ctx)
     if text == "vectors" and ctx.kind == "gl":
         return VectorsAction(ctx.dim, ctx.q)
     if text == "affine" and ctx.kind == "agl":
@@ -307,24 +310,24 @@ def _build_action(text: str, ctx: GroupContext, config: RunConfig):
     raise SpecError(f"action {text!r} does not apply to group {ctx.spec!r}")
 
 
-def _materialized(ctx: GroupContext, config: RunConfig) -> GeneratedGroup:
+def _materialized(ctx: GroupContext) -> GeneratedGroup:
     if ctx.group is not None:
         return ctx.group
     if ctx.kind == "sym":
-        ctx.group = symmetric_group(ctx.degree, cap=config.group_cap)
+        ctx.group = symmetric_group(ctx.degree)
     elif ctx.kind == "alt":
-        ctx.group = alternating_group(ctx.degree, cap=config.group_cap)
+        ctx.group = alternating_group(ctx.degree)
     else:
         raise SpecError(f"group {ctx.spec!r} has no coset machinery")
     return ctx.group
 
 
-def _parse_cosets(rest: str, ctx: GroupContext, config: RunConfig):
-    group = _materialized(ctx, config)
+def _parse_cosets(rest: str, ctx: GroupContext):
+    group = _materialized(ctx)
     head, _, tail = rest.partition(":")
     if head == "pgl2":
         q = _int(tail, "cosets")
-        sub = pgl2(q, cap=config.group_cap)
+        sub = pgl2(q)
         if sub.degree != group.degree:
             raise SpecError(
                 f"pgl2:{q} lives on {sub.degree} points, group on {group.degree}"
@@ -423,6 +426,8 @@ def cmd_scan(args, config: RunConfig) -> int:
     header = "m\taction\ttype\torder\tcover\tnote"
     if head == "ksets":
         k = _int(rest, args.action)
+        if k < 1:
+            raise SpecError(f"{args.action!r}: k must be at least 1")
         if not args.m:
             raise SpecError("scan over k-sets needs --m")
         lo, hi = _parse_range(args.m)

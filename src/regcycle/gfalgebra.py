@@ -159,7 +159,7 @@ class Field:
     def primitive_element(self) -> int:
         """Least element generating the multiplicative group."""
         target = self.q - 1
-        for a in range(2, self.q):
+        for a in range(1, self.q):
             x, n = a, 1
             while x != 1:
                 x = self._mul[x][a]

@@ -273,11 +273,6 @@ def render_cycles(p: Permutation) -> str:
     return "".join("(" + " ".join(str(v + 1) for v in cyc) + ")" for cyc in cycles)
 
 
-def order_and_type(p: Permutation) -> tuple[int, CycleType]:
-    ct = p.cycle_type()
-    return ct.order, ct
-
-
 # --- primes and factorization -------------------------------------------------
 
 

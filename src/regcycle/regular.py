@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from itertools import permutations as iter_permutations
 from itertools import product as iter_product
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -45,11 +44,11 @@ from .actions import (
     WreathElement,
     canonical_blocks,
     fixed_count,
-    images_order,
+    orbit_lengths,
     power_images,
 )
 from .gfalgebra import AffineMap, Matrix, SemilinearMap, matrix_rank
-from .groups import GeneratedGroup
+from .groups import GeneratedGroup, all_permutations
 from .permcore import (
     CycleType,
     Permutation,
@@ -363,20 +362,6 @@ def kset_decide(ct: CycleType, k: int) -> KSetDecision:
         chosen_cycles=chosen_idx,
         case_tag=tag,
         has_regular_cycle=regular,
-    )
-
-
-def kset_verdict(ct: CycleType, k: int) -> Verdict:
-    """Witness-free Verdict wrapping kset_decide for a whole cycle type."""
-    decision = kset_decide(ct, k)
-    return _verdict(
-        KSetsAction(ct.degree, k),
-        ct,
-        "kset_combinatorial",
-        ct.order,
-        ct.order,
-        decision.has_regular_cycle,
-        flags=("cycle_type_decision",),
     )
 
 
@@ -825,7 +810,7 @@ def wreath_fpr_max(inner: GeneratedGroup, outer: GeneratedGroup) -> Fraction:
             g = WreathElement(tuple(combo), top)
             if g.is_identity():
                 continue
-            ratio = action.fpr(g)
+            ratio = Fraction(fixed_count(action.induced_images(g)), action.size)
             outer_max = max(outer_max, ratio)
     assert outer_max == inner_max, (
         f"wreath fpr max {outer_max} differs from inner max {inner_max}"
@@ -850,14 +835,53 @@ class DiagonalAuditLine:
 
 @dataclass(frozen=True)
 class DiagonalAuditReport:
+    """The audit of one pass over diagonal-type elements.
+
+    elements_checked counts every element of the pass, elements_seen only
+    those of prime order. irregular lists, as (position in the pass,
+    element), each element whose induced cycles include no regular one.
+    """
+
     copies: int
     exhaustive: bool
     elements_seen: int
     lines: tuple[DiagonalAuditLine, ...]
+    elements_checked: int
+    irregular: tuple[tuple[int, DiagonalElement], ...]
 
     @property
     def all_ok(self) -> bool:
         return all(line.ok for line in self.lines)
+
+
+def diagonal_elements(
+    data, copies: int, samples: Optional[int] = None, seed: int = 0
+) -> Iterator[DiagonalElement]:
+    """Diagonal-type elements (slot permutation, normalizer coset,
+    translation tuple) over data with `copies` visible coordinates.
+
+    With samples None: every element, slot permutations in lexicographic
+    order, then cosets, then translation tuples in lexicographic order.
+    Otherwise `samples` draws from random.Random(seed), each drawing the
+    slot permutation by one shuffle, then the coset, then the translations
+    in coordinate order.
+    """
+    n_amb = len(data.automorphisms.coset_reps)
+    if samples is None:
+        for sigma in all_permutations(copies + 1):
+            for phi in range(n_amb):
+                for mvec in iter_product(range(data.order), repeat=copies):
+                    yield DiagonalElement(sigma, phi, mvec)
+        return
+    rng = random.Random(seed)
+    slots = list(range(copies + 1))
+    for _ in range(samples):
+        sig = slots[:]
+        rng.shuffle(sig)
+        sigma = Permutation(tuple(sig))
+        phi = rng.randrange(n_amb)
+        mvec = tuple(rng.randrange(data.order) for _ in range(copies))
+        yield DiagonalElement(sigma, phi, mvec)
 
 
 def _diagonal_shape(elem: DiagonalElement) -> str:
@@ -890,32 +914,36 @@ def diagonal_fpr_audit(
 ) -> DiagonalAuditReport:
     """Audit fixed-point ratios of prime-order diagonal-type elements.
 
-    Elements are parameterized as (slot permutation, normalizer coset,
-    translation tuple). Small parameter spaces are swept exhaustively;
-    larger ones are sampled with a seeded generator. Each prime-order
-    element is classified by how its slot permutation treats the anchor
-    slot, and the observed maximum ratio per (shape, order) class is
-    compared against that class's stated bound. Identity slot permutations
-    cover the pure inner-holomorph case, where every nonidentity fixed set
-    is a coset of a point stabilizer in each coordinate.
+    One pass over `diagonal_elements`: all of them when there are at most
+    exhaustive_cap, else `samples` seeded draws. Each element's image array
+    is built once, and its orbit lengths give both its induced order and
+    whether it has a regular cycle; elements without one are listed in
+    the report. Each prime-order element is classified by how its slot
+    permutation treats the anchor slot, and the observed maximum ratio per
+    (shape, order) class is compared against that class's stated bound.
+    Identity slot permutations cover the pure inner-holomorph case, where
+    every nonidentity fixed set is a coset of a point stabilizer in each
+    coordinate.
     """
     action = DiagonalAction(data, copies)
     n_target = data.group.order
     n_amb = len(data.automorphisms.coset_reps)
-    slots = copies + 1
-    total = math.factorial(slots) * n_amb * n_target**copies
+    total = math.factorial(copies + 1) * n_amb * n_target**copies
     exhaustive = total <= exhaustive_cap
 
     stats: dict[tuple[str, int], tuple[Fraction, int]] = {}
     elements_seen = 0
-
-    def consider(sigma: Permutation, phi: int, mvec: tuple[int, ...]) -> None:
-        nonlocal elements_seen
-        elem = DiagonalElement(sigma, phi, mvec)
+    elements_checked = 0
+    irregular = []
+    for elem in diagonal_elements(data, copies, None if exhaustive else samples, seed):
         images = action.induced_images(elem)
-        order = images_order(images)
+        lens = orbit_lengths(images)
+        order = math.lcm(*lens)
+        if max(lens) != order:
+            irregular.append((elements_checked, elem))
+        elements_checked += 1
         if not _is_prime(order):
-            return
+            continue
         elements_seen += 1
         shape = _diagonal_shape(elem)
         ratio = Fraction(fixed_count(images), action.size)
@@ -925,23 +953,6 @@ def diagonal_fpr_audit(
             stats[key] = (ratio, 1)
         else:
             stats[key] = (max(cur[0], ratio), cur[1] + 1)
-
-    if exhaustive:
-        for sig in iter_permutations(range(slots)):
-            sigma = Permutation(tuple(sig))
-            for phi in range(n_amb):
-                for mvec in iter_product(range(n_target), repeat=copies):
-                    consider(sigma, phi, mvec)
-    else:
-        rng = random.Random(seed)
-        slot_ids = list(range(slots))
-        for _ in range(samples):
-            sig = slot_ids[:]
-            rng.shuffle(sig)
-            sigma = Permutation(tuple(sig))
-            phi = rng.randrange(n_amb)
-            mvec = tuple(rng.randrange(n_target) for _ in range(copies))
-            consider(sigma, phi, mvec)
 
     lines = []
     for (shape, p), (max_fpr, count) in sorted(stats.items()):
@@ -956,6 +967,8 @@ def diagonal_fpr_audit(
         exhaustive=exhaustive,
         elements_seen=elements_seen,
         lines=tuple(lines),
+        elements_checked=elements_checked,
+        irregular=tuple(irregular),
     )
 
 
@@ -969,6 +982,7 @@ FIX_UNION_FACTOR = 4
 def _kset_combinatorial(action: KSetsAction, g: Permutation) -> Verdict:
     """Cycle-type decision on k-sets, with a witness built on the smaller
     side k <= m/2 and complemented back when action.k > m/2."""
+    order = action.element_order(g)
     k = min(action.k, action.degree - action.k)
     decision = kset_decide(g.cycle_type(), k)
     witness = None
@@ -983,7 +997,6 @@ def _kset_combinatorial(action: KSetsAction, g: Permutation) -> Verdict:
             inside = set(small)
             witness = [v for v in range(1, action.degree + 1) if v not in inside]
             flags = flags + ("complement_dual",)
-    order = g.order()
     return _verdict(
         action,
         g,
@@ -998,8 +1011,8 @@ def _kset_combinatorial(action: KSetsAction, g: Permutation) -> Verdict:
 
 def _constructive_proof(action: PartitionsAction, g: Permutation) -> Verdict:
     """The certified partition_witness: every shape but 2x2 has one."""
+    order = action.element_order(g)
     witness = partition_witness(g, action.block_size, action.block_count)
-    order = g.order()
     return _verdict(
         action, g, "constructive_proof", order, order, True, [list(b) for b in witness]
     )

@@ -1,13 +1,17 @@
 """Verification suites spanning every decision and witness pipeline.
 
-Each suite runs one block of checks and returns a SuiteReport whose lines
-carry a stable name, a pass flag, and a short human-readable detail. A
-failing block never aborts the suite: the first violated assertion is
-captured into the line so reports always describe every check.
+A suite is a generator of (name, check) pairs: each check is a block that
+returns a short human-readable detail or raises. `run_suite` is the one
+runner. It applies the RunConfig default, times the suite, runs the checks
+one at a time in the order the suite yields them, and turns each into a
+SuiteLine with a stable name, a pass flag and the detail. A failing check
+never aborts the suite: its exception becomes the detail of a failing line,
+so a report always describes every check. Code a suite runs before its
+first yield, such as the k-set oracle's pricing, runs before any check.
 
-Reports are deterministic for a fixed seed. All sampling happens up front
-with a seeded generator and results are assembled in order, so the rendered
-output is byte-identical from run to run.
+Reports are deterministic for a fixed seed: every sample comes from a
+generator seeded by the config, and lines keep the suite's order, so the
+rendered output is byte-identical from run to run.
 """
 
 from __future__ import annotations
@@ -17,15 +21,14 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations as iter_permutations
+from functools import cache
 from itertools import product as iter_product
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .actions import (
     AffineVectorsAction,
     CosetsAction,
     DiagonalAction,
-    DiagonalElement,
     DiagonalGroupData,
     KSetsAction,
     NaturalAction,
@@ -34,6 +37,7 @@ from .actions import (
     VectorsAction,
     WreathElement,
     orbit_lengths,
+    realize_diagonal_group,
 )
 from .gfalgebra import AffineMap
 from .groups import (
@@ -64,6 +68,7 @@ from .regular import (
     affine_witness,
     decide_bruteforce,
     decide_fix_union,
+    diagonal_elements,
     diagonal_fpr_audit,
     gl_regular_vector_set,
     kset_decide,
@@ -80,13 +85,12 @@ class RunConfig:
     """Execution knobs shared by the command line and the suites."""
 
     domain_cap: int = 10**7
-    group_cap: int = 5 * 10**6
     seed: int = 0
     output: str = "json"
 
     def __post_init__(self):
-        if self.domain_cap < 1 or self.group_cap < 1:
-            raise ValueError("caps must be positive")
+        if self.domain_cap < 1:
+            raise ValueError("domain_cap must be positive")
         if self.output not in ("json", "tsv"):
             raise ValueError(f"unknown output format {self.output!r}")
 
@@ -120,6 +124,10 @@ class SuiteReport:
         )
 
 
+# A suite's checks: (line name, block returning the line's detail) pairs.
+Checks = Iterator[tuple[str, Callable[[], str]]]
+
+
 def _checked(name: str, fn: Callable[[], str]) -> SuiteLine:
     """Run one block; any exception becomes a failing line naming it."""
     try:
@@ -145,23 +153,20 @@ def ksets_oracle_price(m: int) -> int:
 
 
 def suite_ksets(
-    config: Optional[RunConfig] = None,
+    config: RunConfig,
     oracle_m_max: int = 13,
     scan_m_max: int = 20,
-) -> SuiteReport:
+) -> Checks:
     """Pair-set example, threshold-law scans, and the combinatorial
     decision against brute force for every small cycle type.
 
     Each oracle line is priced before any line runs, and a price past
     config.domain_cap raises DomainCapError naming its degree.
     """
-    config = config or RunConfig()
     for m in range(2, oracle_m_max + 1):
         price = ksets_oracle_price(m)
         if price > config.domain_cap:
             raise DomainCapError(price, config.domain_cap, f"ksets oracle line m={m}")
-    start = time.perf_counter()
-    lines: list[SuiteLine] = []
 
     def intro() -> str:
         g = Permutation.from_cycles([(1, 2, 3, 4, 5), (6, 7, 8), (9, 10)], 10)
@@ -173,7 +178,7 @@ def suite_ksets(
         assert not verdict.has_regular_cycle
         return f"orbit lengths {lens}, no regular pair-set cycle"
 
-    lines.append(_checked("pair_sets_type_5_3_2", intro))
+    yield "pair_sets_type_5_3_2", intro
 
     for k in (1, 2, 3):
         threshold = nk_threshold(k)
@@ -191,7 +196,7 @@ def suite_ksets(
                 f"first failures exactly at m={threshold}"
             )
 
-        lines.append(_checked(f"threshold_law_k{k}", law))
+        yield f"threshold_law_k{k}", law
 
     for m in range(2, oracle_m_max + 1):
 
@@ -210,9 +215,7 @@ def suite_ksets(
                     pairs += 1
             return f"{pairs} (type, k) pairs agree with brute force"
 
-        lines.append(_checked(f"combinatorial_vs_bruteforce_m{m}", oracle))
-
-    return SuiteReport("ksets", tuple(lines), time.perf_counter() - start)
+        yield f"combinatorial_vs_bruteforce_m{m}", oracle
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +232,14 @@ _PARTITION_SHAPES = {
 
 
 def suite_partitions(
-    config: Optional[RunConfig] = None,
+    config: RunConfig,
     exhaustive: tuple[int, ...] = (6, 8, 9),
     sampled: tuple[int, ...] = (10, 12),
     conjugates_per_type: int = 25,
-) -> SuiteReport:
+) -> Checks:
     """Certified block-system witnesses for every element of the small
     symmetric groups, every cycle type of the larger ones, and the refusal
     of the degenerate 2x2 shape."""
-    config = config or RunConfig()
-    start = time.perf_counter()
-    lines: list[SuiteLine] = []
     rng = random.Random(config.seed)
 
     for n in exhaustive:
@@ -252,7 +252,7 @@ def suite_partitions(
                     count += 1
                 return f"all {count} elements certified"
 
-            lines.append(_checked(f"exhaustive_{a}x{b}", block))
+            yield f"exhaustive_{a}x{b}", block
 
     for n in sampled:
         for a, b in _PARTITION_SHAPES[n]:
@@ -270,7 +270,7 @@ def suite_partitions(
                         count += 1
                 return f"{count} witnesses over every cycle type plus conjugates"
 
-            lines.append(_checked(f"types_and_conjugates_{a}x{b}", block))
+            yield f"types_and_conjugates_{a}x{b}", block
 
     def exceptional() -> str:
         four = Permutation.from_cycles([(1, 2, 3, 4)], 4)
@@ -286,9 +286,7 @@ def suite_partitions(
         assert not decide_bruteforce(action, four).has_regular_cycle
         return "refused; 4-cycle max orbit 2 < order 4 on the 3 partitions"
 
-    lines.append(_checked("shape_2x2_exception", exceptional))
-
-    return SuiteReport("partitions", tuple(lines), time.perf_counter() - start)
+    yield "shape_2x2_exception", exceptional
 
 
 # ---------------------------------------------------------------------------
@@ -298,33 +296,32 @@ def suite_partitions(
 _PRODUCT_CASES = ((3, 2), (3, 3), (4, 2))
 
 
+def _wreath_elements(n: int, copies: int) -> Iterator[WreathElement]:
+    """Every element of Sym(n) wr Sym(copies): base components in
+    lexicographic order, and for each, every top permutation."""
+    base = list(all_permutations(n))
+    tops = list(all_permutations(copies))
+    for comps in iter_product(base, repeat=copies):
+        for top in tops:
+            yield WreathElement(comps, top)
+
+
 def suite_product(
-    config: Optional[RunConfig] = None,
+    config: RunConfig,
     cases: tuple[tuple[int, int], ...] = _PRODUCT_CASES,
-) -> SuiteReport:
+) -> Checks:
     """Certified regular tuples for every element of small wreath products
     in their product actions."""
-    config = config or RunConfig()
-    start = time.perf_counter()
-    lines: list[SuiteLine] = []
-
     for n, copies in cases:
 
         def block(n=n, copies=copies) -> str:
-            base = [Permutation(tuple(p)) for p in iter_permutations(range(n))]
-            tops = [
-                Permutation(tuple(p)) for p in iter_permutations(range(copies))
-            ]
             count = 0
-            for comps in iter_product(base, repeat=copies):
-                for top in tops:
-                    product_witness([(h, None) for h in comps], top)
-                    count += 1
+            for w in _wreath_elements(n, copies):
+                product_witness([(h, None) for h in w.components], w.top)
+                count += 1
             return f"all {count} wreath elements certified"
 
-        lines.append(_checked(f"wreath_sym{n}_copies{copies}", block))
-
-    return SuiteReport("product", tuple(lines), time.perf_counter() - start)
+        yield f"wreath_sym{n}_copies{copies}", block
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +336,11 @@ _LINEAR_CASES = (
 
 
 def suite_gl(
-    config: Optional[RunConfig] = None,
+    config: RunConfig,
     cases: tuple[tuple[int, int], ...] = _LINEAR_CASES,
-) -> SuiteReport:
+) -> Checks:
     """Regular vectors span the whole space for every invertible matrix of
     each small (dimension, field) case."""
-    config = config or RunConfig()
-    start = time.perf_counter()
-    lines: list[SuiteLine] = []
-
     for d, q in cases:
 
         def block(d=d, q=q) -> str:
@@ -358,21 +351,15 @@ def suite_gl(
                 assert result.spans, f"no spanning set for {m.entries}"
             return f"{len(mats)} matrices, regular vectors span every time"
 
-        lines.append(_checked(f"gl_{d}_{q}", block))
-
-    return SuiteReport("gl", tuple(lines), time.perf_counter() - start)
+        yield f"gl_{d}_{q}", block
 
 
 def suite_affine(
-    config: Optional[RunConfig] = None,
+    config: RunConfig,
     cases: tuple[tuple[int, int], ...] = _LINEAR_CASES,
-) -> SuiteReport:
+) -> Checks:
     """Certified regular vectors for every affine map of each small
     (dimension, field) case."""
-    config = config or RunConfig()
-    start = time.perf_counter()
-    lines: list[SuiteLine] = []
-
     for d, q in cases:
 
         def block(d=d, q=q) -> str:
@@ -383,9 +370,7 @@ def suite_affine(
                     count += 1
             return f"{count} affine maps certified"
 
-        lines.append(_checked(f"agl_{d}_{q}", block))
-
-    return SuiteReport("affine", tuple(lines), time.perf_counter() - start)
+        yield f"agl_{d}_{q}", block
 
 
 # ---------------------------------------------------------------------------
@@ -401,77 +386,68 @@ def _alt5_diagonal_data() -> DiagonalGroupData:
 
 
 def suite_diagonal(
-    config: Optional[RunConfig] = None,
+    config: RunConfig,
     samples: int = 10**4,
     realize: bool = True,
-) -> SuiteReport:
+) -> Checks:
     """Every element of the one-coordinate diagonal group over Alt(5) has a
     regular cycle; seeded samples cover two coordinates; fixed-point-ratio
-    bounds hold per shape class with the involution maximum hit exactly."""
-    config = config or RunConfig()
-    start = time.perf_counter()
-    lines: list[SuiteLine] = []
+    bounds hold per shape class with the involution maximum hit exactly.
+
+    Each element family is walked once, by one diagonal_fpr_audit: the
+    regular-cycle line and the bounds line of a family read the same
+    report, whichever of them runs it first.
+    """
     data = _alt5_diagonal_data()
-    n_amb = len(data.automorphisms.coset_reps)
-    induced_seen: set[tuple[int, ...]] = set()
+    copies1 = cache(lambda: diagonal_fpr_audit(data, 1, min_faithful_degree=5))
+    copies2 = cache(
+        lambda: diagonal_fpr_audit(
+            data, 2, min_faithful_degree=5, samples=samples, seed=config.seed
+        )
+    )
 
     def full_copies1() -> str:
-        action = DiagonalAction(data, 1)
-        assert action.size == 60
-        count = 0
-        for sig in iter_permutations(range(2)):
-            sigma = Permutation(tuple(sig))
-            for phi in range(n_amb):
-                for m0 in range(data.order):
-                    elem = DiagonalElement(sigma, phi, (m0,))
-                    images = action.induced_images(elem)
-                    lens = orbit_lengths(images)
-                    order = math.lcm(*lens)
-                    assert max(lens) == order, (
-                        f"no regular cycle: sigma={render_cycles(sigma)} "
-                        f"phi={phi} m={m0}"
-                    )
-                    induced_seen.add(tuple(int(v) for v in images))
-                    count += 1
+        assert DiagonalAction(data, 1).size == 60
+        report = copies1()
+        if report.irregular:
+            elem = report.irregular[0][1]
+            raise AssertionError(
+                f"no regular cycle: sigma={render_cycles(elem.sigma)} "
+                f"phi={elem.phi} m={elem.m[0]}"
+            )
+        count = report.elements_checked
         assert count == 14400
         return f"all {count} elements have a regular cycle on 60 points"
 
-    lines.append(_checked("full_group_copies1", full_copies1))
+    yield "full_group_copies1", full_copies1
 
     def realized() -> str:
-        from .actions import realize_diagonal_group
-
         group = realize_diagonal_group(data, 1)
         assert group.order == 14400 and group.degree == 60
-        assert induced_seen == {g.images for g in group.elements}, (
+        action = DiagonalAction(data, 1)
+        induced = {
+            tuple(action.induced_images(elem).tolist())
+            for elem in diagonal_elements(data, 1)
+        }
+        assert induced == {g.images for g in group.elements}, (
             "triple parameterization does not match the realized group"
         )
         return "triples biject onto the realized group of order 14400"
 
     if realize:
-        lines.append(_checked("realized_group_copies1", realized))
+        yield "realized_group_copies1", realized
 
     def sampled_copies2() -> str:
-        action = DiagonalAction(data, 2)
-        assert action.size == 3600
-        rng = random.Random(config.seed)
-        slots = list(range(3))
-        for i in range(samples):
-            sig = slots[:]
-            rng.shuffle(sig)
-            elem = DiagonalElement(
-                Permutation(tuple(sig)),
-                rng.randrange(n_amb),
-                (rng.randrange(data.order), rng.randrange(data.order)),
-            )
-            lens = orbit_lengths(action.induced_images(elem))
-            assert max(lens) == math.lcm(*lens), f"sample {i} has no regular cycle"
+        assert DiagonalAction(data, 2).size == 3600
+        report = copies2()
+        if report.irregular:
+            raise AssertionError(f"sample {report.irregular[0][0]} has no regular cycle")
         return f"{samples} seeded samples on 3600 points all pass"
 
-    lines.append(_checked("sampled_copies2", sampled_copies2))
+    yield "sampled_copies2", sampled_copies2
 
     def audit1() -> str:
-        report = diagonal_fpr_audit(data, 1, min_faithful_degree=5)
+        report = copies1()
         assert report.exhaustive
         assert report.all_ok, report.lines
         involutions = [
@@ -483,32 +459,25 @@ def suite_diagonal(
         assert involutions[0].max_fpr == Fraction(4, 15), involutions
         return "per-shape bounds hold; slot-swap involutions reach 16/60 = 4/15"
 
-    lines.append(_checked("fpr_bounds_copies1", audit1))
+    yield "fpr_bounds_copies1", audit1
 
     def audit2() -> str:
-        report = diagonal_fpr_audit(
-            data, 2, min_faithful_degree=5, samples=samples, seed=config.seed
-        )
+        report = copies2()
         assert not report.exhaustive
         assert report.all_ok, report.lines
         return f"sampled bounds hold over {report.elements_seen} prime-order elements"
 
-    lines.append(_checked("fpr_bounds_copies2", audit2))
-
-    return SuiteReport("diagonal", tuple(lines), time.perf_counter() - start)
+    yield "fpr_bounds_copies2", audit2
 
 
 # ---------------------------------------------------------------------------
 # the twisted degree-6 coset action of Sym(6)
 
 
-def suite_s6_exception(config: Optional[RunConfig] = None) -> SuiteReport:
+def suite_s6_exception(config: RunConfig) -> Checks:
     """Six-cycles of Sym(6) lose their regular cycle exactly on the cosets
     of the transitive copy of PGL(2,5), where they induce orbit lengths
     1, 2, 3."""
-    config = config or RunConfig()
-    start = time.perf_counter()
-    lines: list[SuiteLine] = []
     s6 = symmetric_group(6)
     twisted = pgl2(5)
     natural = point_stabilizer(s6, 1)
@@ -522,7 +491,7 @@ def suite_s6_exception(config: Optional[RunConfig] = None) -> SuiteReport:
         assert len(orbit_natural) == 1, "expected a point stabilizer"
         return "both index-6 classes realized: transitive and point-fixing"
 
-    lines.append(_checked("two_stabilizer_classes", classes))
+    yield "two_stabilizer_classes", classes
 
     def twisted_block() -> str:
         action = CosetsAction(s6, twisted, label="pgl2:5")
@@ -534,7 +503,7 @@ def suite_s6_exception(config: Optional[RunConfig] = None) -> SuiteReport:
             assert lens == [1, 2, 3], f"{render_cycles(g)} induced {lens}"
         return "all 120 six-cycles induce orbit lengths [1, 2, 3]: order 6, max orbit 3"
 
-    lines.append(_checked("twisted_cosets_break_six_cycles", twisted_block))
+    yield "twisted_cosets_break_six_cycles", twisted_block
 
     def natural_block() -> str:
         action = CosetsAction(s6, natural, label="stab:1")
@@ -549,21 +518,16 @@ def suite_s6_exception(config: Optional[RunConfig] = None) -> SuiteReport:
         assert count == 120
         return "all 120 six-cycles keep a full cycle on point-stabilizer cosets"
 
-    lines.append(_checked("natural_cosets_keep_six_cycles", natural_block))
-
-    return SuiteReport("s6-exception", tuple(lines), time.perf_counter() - start)
+    yield "natural_cosets_keep_six_cycles", natural_block
 
 
 # ---------------------------------------------------------------------------
 # the three overgroups of the degree-10 projective realization
 
 
-def suite_a6_family(config: Optional[RunConfig] = None) -> SuiteReport:
+def suite_a6_family(config: RunConfig) -> Checks:
     """Every element of PGL(2,9), M10, and PGammaL(2,9) keeps a regular
     cycle across their coset actions of degrees 10, 36, and 45."""
-    config = config or RunConfig()
-    start = time.perf_counter()
-    lines: list[SuiteLine] = []
     builders = (
         ("pgl2_9", lambda: pgl2(9), 720),
         ("m10", m10, 720),
@@ -592,9 +556,7 @@ def suite_a6_family(config: Optional[RunConfig] = None) -> SuiteReport:
                     checked += 1
             return f"{checked} (element, action) checks, every one regular"
 
-        lines.append(_checked(gname, block))
-
-    return SuiteReport("remark-a6", tuple(lines), time.perf_counter() - start)
+        yield gname, block
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +582,8 @@ def _oracle_corpus(config: RunConfig, target: int) -> list[tuple]:
     def done() -> bool:
         return len(pairs) >= target
 
-    sym5 = [Permutation(tuple(p)) for p in iter_permutations(range(5))]
-    sym6 = [Permutation(tuple(p)) for p in iter_permutations(range(6))]
+    sym5 = list(all_permutations(5))
+    sym6 = list(all_permutations(6))
     for label, elements, acts in (
         ("sym5", sym5, (NaturalAction(5), KSetsAction(5, 2))),
         (
@@ -643,20 +605,15 @@ def _oracle_corpus(config: RunConfig, target: int) -> list[tuple]:
         return pairs
 
     nat7 = NaturalAction(7)
-    for p in iter_permutations(range(7)):
-        pairs.append((f"sym7:{nat7.name}", nat7, Permutation(tuple(p))))
+    for g in all_permutations(7):
+        pairs.append((f"sym7:{nat7.name}", nat7, g))
     if done():
         return pairs
 
     for n, copies in ((3, 2), (3, 3), (4, 2)):
         action = ProductAction(n, copies)
-        base = [Permutation(tuple(p)) for p in iter_permutations(range(n))]
-        tops = [Permutation(tuple(p)) for p in iter_permutations(range(copies))]
-        for comps in iter_product(base, repeat=copies):
-            for top in tops:
-                pairs.append(
-                    (f"wreath{n}x{copies}", action, WreathElement(comps, top))
-                )
+        for w in _wreath_elements(n, copies):
+            pairs.append((f"wreath{n}x{copies}", action, w))
     if done():
         return pairs
 
@@ -684,13 +641,8 @@ def _oracle_corpus(config: RunConfig, target: int) -> list[tuple]:
 
     data = _alt5_diagonal_data()
     daction = DiagonalAction(data, 1)
-    for sig in iter_permutations(range(2)):
-        sigma = Permutation(tuple(sig))
-        for phi in range(len(data.automorphisms.coset_reps)):
-            for m0 in range(data.order):
-                pairs.append(
-                    ("diagonal_alt5", daction, DiagonalElement(sigma, phi, (m0,)))
-                )
+    for elem in diagonal_elements(data, 1):
+        pairs.append(("diagonal_alt5", daction, elem))
 
     # Random fill: cheap actions dominate the schedule, partition actions
     # with larger domains appear at a lower rate.
@@ -718,16 +670,12 @@ def _oracle_corpus(config: RunConfig, target: int) -> list[tuple]:
 
 
 def suite_identity_checks(
-    config: Optional[RunConfig] = None,
+    config: RunConfig,
     corpus_target: int = 100000,
-) -> SuiteReport:
+) -> Checks:
     """Wreath fixed-point-ratio maxima equal the inner maxima, and the
     fixed-set-union decider agrees with brute force over a large mixed
     corpus of (element, action) pairs."""
-    config = config or RunConfig()
-    start = time.perf_counter()
-    lines: list[SuiteLine] = []
-
     for n, copies, expected in _WREATH_FPR_CASES:
 
         def block(n=n, copies=copies, expected=expected) -> str:
@@ -735,7 +683,7 @@ def suite_identity_checks(
             assert value == expected, f"maximum {value}, expected {expected}"
             return f"wreath maximum equals the inner maximum {value}"
 
-        lines.append(_checked(f"wreath_fpr_sym{n}_wr_sym{copies}", block))
+        yield f"wreath_fpr_sym{n}_wr_sym{copies}", block
 
     def corpus_block() -> str:
         pairs = _oracle_corpus(config, corpus_target)
@@ -760,11 +708,7 @@ def suite_identity_checks(
         assert not bad, bad[0]
         return f"{len(pairs)} (element, action) pairs agree"
 
-    lines.append(_checked("fix_union_vs_bruteforce_corpus", corpus_block))
-
-    return SuiteReport(
-        "lemma-identities", tuple(lines), time.perf_counter() - start
-    )
+    yield "fix_union_vs_bruteforce_corpus", corpus_block
 
 
 # ---------------------------------------------------------------------------
@@ -787,31 +731,27 @@ _CRUDE_PROFILES = (
 
 
 def suite_bounds_all(
-    config: Optional[RunConfig] = None,
+    config: RunConfig,
     full: bool = True,
-) -> SuiteReport:
+) -> Checks:
     """All interval-checked inequality sweeps at their acceptance ranges
     (or reduced ranges when full=False)."""
     from . import bounds as bounds_mod
 
-    config = config or RunConfig()
-    start = time.perf_counter()
-    lines: list[SuiteLine] = []
-
-    def sweep(name: str, fn: Callable[[], object]) -> None:
+    def sweep(fn: Callable[[], object]) -> Callable[[], str]:
         def block() -> str:
             report = fn()
             assert report.all_pass, report.failures[:1]
             return f"{len(report.lines)} checks, min gap {report.min_gap:.4g}"
 
-        lines.append(_checked(name, block))
+        return block
 
-    sweep("divisor_sum_vs_loglog", lambda: bounds_mod.robin_sweep(
+    yield "divisor_sum_vs_loglog", sweep(lambda: bounds_mod.robin_sweep(
         26, 10**6 if full else 10**4))
-    sweep("max_order_vs_sqrt_bound", lambda: bounds_mod.massias_sweep(4, 200))
-    sweep("factorial_brackets", lambda: bounds_mod.stirling_sweep(
+    yield "max_order_vs_sqrt_bound", sweep(lambda: bounds_mod.massias_sweep(4, 200))
+    yield "factorial_brackets", sweep(lambda: bounds_mod.stirling_sweep(
         1, 1000 if full else 200))
-    sweep("prime_power_balance", lambda: bounds_mod.technical_sweep(
+    yield "prime_power_balance", sweep(lambda: bounds_mod.technical_sweep(
         3, 200 if full else 60))
 
     def alpha_beta_block() -> str:
@@ -820,7 +760,7 @@ def suite_bounds_all(
         assert report.monotone_within_stretches
         return f"{len(report.rows)} rows, product stays below 1"
 
-    lines.append(_checked("alpha_beta_product", alpha_beta_block))
+    yield "alpha_beta_product", alpha_beta_block
 
     def crude_block() -> str:
         for family, param, copies in _CRUDE_PROFILES:
@@ -831,11 +771,8 @@ def suite_bounds_all(
             assert line.status == bounds_mod.STATUS_PASS, (family, param, copies)
         return f"{len(_CRUDE_PROFILES)} diagonal profiles stay below 1"
 
-    lines.append(_checked("diagonal_crude", crude_block))
-
-    sweep("e8_order_growth", lambda: bounds_mod.e8_sweep(1024))
-
-    return SuiteReport("bounds-all", tuple(lines), time.perf_counter() - start)
+    yield "diagonal_crude", crude_block
+    yield "e8_order_growth", sweep(lambda: bounds_mod.e8_sweep(1024))
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +846,7 @@ def scan_partitions(a: int, b: int) -> list[ScanRow]:
     return rows
 
 
-SUITES: dict[str, Callable[..., SuiteReport]] = {
+SUITES: dict[str, Callable[..., Checks]] = {
     "ksets": suite_ksets,
     "partitions": suite_partitions,
     "product": suite_product,
@@ -926,8 +863,12 @@ SUITES: dict[str, Callable[..., SuiteReport]] = {
 def run_suite(
     name: str, config: Optional[RunConfig] = None, **overrides
 ) -> SuiteReport:
+    """Run the named suite's checks in order; overrides go to the suite."""
     if name not in SUITES:
         raise ValueError(
             f"unknown suite {name!r}; expected one of {', '.join(sorted(SUITES))}"
         )
-    return SUITES[name](config, **overrides)
+    config = config or RunConfig()
+    start = time.perf_counter()
+    lines = [_checked(line, check) for line, check in SUITES[name](config, **overrides)]
+    return SuiteReport(name, tuple(lines), time.perf_counter() - start)

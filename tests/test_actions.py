@@ -162,7 +162,7 @@ class TestNaturalAction:
         assert act.index(5) == 4
         assert act.element_order(g) == 3
         assert images_order(act.induced_images(g)) == 3
-        assert act.fix_count(g) == 2
+        assert fixed_count(act.induced_images(g)) == 2
 
     def test_index_validation(self):
         act = NaturalAction(4)
@@ -214,7 +214,7 @@ class TestKSets:
     def test_burnside_orbit_count(self):
         act = KSetsAction(4, 2)
         group = symmetric_group(4)
-        total = sum(act.fix_count(g) for g in group)
+        total = sum(fixed_count(act.induced_images(g)) for g in group)
         # Sym(4) is transitive on 2-sets, so the average fix count is 1.
         assert total == group.order
 
@@ -534,7 +534,7 @@ class TestVectorActions:
         act = AffineVectorsAction(2, 3)
         assert act.element_order(amap) == 3
         assert images_order(act.induced_images(amap)) == 3
-        assert act.fix_count(amap) == 0
+        assert fixed_count(act.induced_images(amap)) == 0
 
     def test_vector_index_round_trip(self):
         act = VectorsAction(3, 4)
@@ -646,7 +646,7 @@ class TestCosetsAction:
         assert act.size == 4
         g = parse_cycles("(1 2 3 4)", 4)
         assert images_order(act.induced_images(g)) == 4
-        assert act.fix_count(parse_cycles("(1 2)", 4)) == 2
+        assert fixed_count(act.induced_images(parse_cycles("(1 2)", 4))) == 2
 
     def test_right_action_law(self):
         group = symmetric_group(4)

@@ -361,12 +361,3 @@ class TestGroupProfile:
         with pytest.raises(ValueError):
             group_profile("sporadic", 1)
 
-    def test_env_override(self, tmp_path, monkeypatch):
-        table = tmp_path / "mt.tsv"
-        table.write_text("alt\t5\t99\t7\n# comment\npsl2\t4\t12\t2\n")
-        monkeypatch.setenv("REGCYCLE_MT_TABLE", str(table))
-        assert group_profile("alt", 5).min_faithful_degree == 99
-        assert group_profile("alt", 5).omega_aut == 7
-        assert group_profile("psl2", 4).min_faithful_degree == 12
-        # untouched entries still come from the built-ins
-        assert group_profile("alt", 7).min_faithful_degree == 7

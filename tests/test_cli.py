@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface, via subprocess, and of
 the README's decide examples through cli.main."""
 
+import contextlib
+import io
 import json
 import shlex
 import subprocess
@@ -9,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from regcycle import cli
 
@@ -458,3 +462,159 @@ class TestUsage:
         proc = run_cli("--help")
         assert proc.returncode == 0
         assert "decide" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract on generated command lines, valid and malformed.
+# Inputs stay small: groups of degree at most 8, diagonal groups over
+# Alt(N) for N <= 6, and only the cheap verify suites.
+
+
+def _ranges(lo: int, hi: int):
+    """'a..b' or 'a' with a, b in lo..hi (a > b allowed: a malformed range)."""
+    bound = st.integers(lo, hi)
+    return st.one_of(
+        st.builds(lambda a, b: f"{a}..{b}", bound, bound), bound.map(str)
+    )
+
+
+_JUNK = st.text(alphabet="(),.:;=@|+ 0123456789abcxyz-", max_size=10)
+
+
+@st.composite
+def _perm_text(draw, degree: int) -> str:
+    """Cycle notation of a permutation of 1..degree."""
+    points = draw(st.permutations(range(1, degree + 1)))
+    cuts = sorted(draw(st.sets(st.integers(1, max(degree - 1, 1)), max_size=3)))
+    bounds = [0, *cuts, degree]
+    return "".join(
+        "(" + " ".join(map(str, points[a:b])) + ")" for a, b in zip(bounds, bounds[1:])
+    )
+
+
+@st.composite
+def _decide_parts(draw) -> tuple[str, str, str]:
+    """(group, element, action), mostly well formed and matching."""
+    kind = draw(st.sampled_from(["perm", "proj", "linear", "wreath", "diag"]))
+    if kind == "perm":
+        n = draw(st.integers(1, 8))
+        group = f"{draw(st.sampled_from(['sym', 'alt']))}:{n}"
+        element = draw(_perm_text(n))
+        action = draw(st.one_of(
+            st.sampled_from(["natural", "cosets:stab:1", "cosets:sylow:2", "cosets:pgl2:5"]),
+            st.builds("ksets:{}".format, st.integers(0, n + 1)),
+            st.builds("partitions:{}x{}".format, st.integers(1, 4), st.integers(1, 4)),
+        ))
+    elif kind == "proj":
+        q = draw(st.sampled_from([2, 3, 4, 5, 6, 7]))
+        group = f"{draw(st.sampled_from(['pgl2', 'psl2']))}:{q}"
+        element = draw(st.one_of(st.just("()"), _perm_text(q + 1)))
+        action = draw(st.sampled_from(["natural", "ksets:2", "cosets:stab:1"]))
+    elif kind == "linear":
+        d, q = draw(st.integers(1, 2)), draw(st.sampled_from([2, 3, 4, 5, 6]))
+        affine = draw(st.booleans())
+        group = f"{'agl' if affine else 'gl'}:{d},{q}"
+        entries = draw(st.lists(st.integers(0, q), min_size=d * d, max_size=d * d))
+        element = ";".join(
+            ",".join(map(str, entries[r * d:(r + 1) * d])) for r in range(d)
+        )
+        if affine:
+            shift = draw(st.lists(st.integers(0, q), min_size=d, max_size=d))
+            element += "+" + ",".join(map(str, shift))
+        action = draw(st.sampled_from(["vectors", "affine", "natural"]))
+    elif kind == "wreath":
+        n, copies = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+        group = f"wreath:{n},{copies}"
+        comps = [draw(_perm_text(n)) for _ in range(copies)]
+        element = "|".join(comps) + "@" + draw(_perm_text(max(copies, 1)))
+        action = draw(st.sampled_from(["product", "natural"]))
+    else:
+        n, copies = draw(st.integers(3, 6)), draw(st.integers(0, 2))
+        group = f"diag:{n},{copies}"
+        sigma = draw(_perm_text(copies + 1))
+        phi = draw(st.integers(0, 3))
+        m = draw(st.lists(st.integers(0, 12), min_size=copies, max_size=copies))
+        element = f"sigma={sigma};phi={phi};m={','.join(map(str, m))}"
+        action = draw(st.sampled_from(["diagonal", "natural"]))
+    junk = st.one_of(st.none(), st.none(), st.none(), _JUNK)
+    group, element, action = (
+        part if (bad := draw(junk)) is None else bad
+        for part in (group, element, action)
+    )
+    return group, element, action
+
+
+_OPTIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("--cap"), st.integers(-1, 10**7).map(str)),
+        st.tuples(st.just("--output"), st.sampled_from(["json", "tsv", "xml"])),
+        st.tuples(st.just("--seed"), st.integers(0, 9).map(str)),
+    ),
+    max_size=2,
+).map(lambda pairs: [arg for pair in pairs for arg in pair])
+
+_ARGVS = st.one_of(
+    st.builds(
+        lambda parts, opts: [
+            "decide", "--group", parts[0], "--element", parts[1], "--action", parts[2],
+            *opts,
+        ],
+        _decide_parts(),
+        _OPTIONS,
+    ),
+    st.builds(
+        lambda a, m, opts: ["scan", "--action", a, *m, *opts],
+        st.one_of(
+            st.builds("ksets:{}".format, st.integers(0, 4)),
+            st.builds("partitions:{}x{}".format, st.integers(1, 4), st.integers(1, 4)),
+            _JUNK,
+        ),
+        st.one_of(st.just([]), _ranges(2, 14).map(lambda r: ["--m", r])),
+        _OPTIONS,
+    ),
+    st.builds(
+        lambda m, opts: ["bounds", *m, *opts],
+        st.one_of(_ranges(1, 80).map(lambda r: ["--m", r]), _JUNK.map(lambda j: ["--m", j])),
+        _OPTIONS,
+    ),
+    st.builds(
+        lambda head, opts: [*head, *opts],
+        st.one_of(
+            st.sampled_from([
+                ["verify", "--suite", "s6-exception"],
+                ["verify", "--suite", "bogus"],
+                ["verify"],
+            ]),
+            st.builds(
+                lambda suite, r: ["verify", "--suite", suite, "--m", r],
+                st.sampled_from(["ksets", "s6-exception"]),
+                _ranges(1, 14),
+            ),
+        ),
+        _OPTIONS,
+    ),
+    st.lists(_JUNK, max_size=4),
+)
+
+
+class TestExitContract:
+    # Derandomized, so that every run checks the same 200 command lines.
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(_ARGVS)
+    def test_exit_code_and_clean_stderr(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        elapsed = time.perf_counter() - start
+        assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
+        assert elapsed < 10, (argv, elapsed)

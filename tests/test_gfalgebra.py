@@ -80,6 +80,10 @@ def test_gf9_primitive_element():
     assert f.primitive_element() == 4
 
 
+def test_gf2_primitive_element_is_one():
+    assert field_ops(2).primitive_element() == 1
+
+
 class TestMatrix:
     def test_identity_and_mul(self):
         f = field_ops(5)

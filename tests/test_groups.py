@@ -83,6 +83,10 @@ class TestProjectiveGroups:
         g = psl2(5)
         assert g.order == 60
 
+    def test_psl2_2_is_sym3(self):
+        g = psl2(2)
+        assert g.order == 6 and g.degree == 3
+
     def test_psl2_9_and_extensions(self):
         s = psl2(9)
         assert s.order == 360

@@ -20,7 +20,6 @@ from regcycle import (
     nk_threshold,
     orbit_length_array,
     orbit_partition,
-    order_and_type,
     parse_cycles,
     primes_upto,
     render_cycles,
@@ -75,12 +74,6 @@ class TestPermutation:
         assert p**0 == Permutation.identity(8)
         assert p**-1 == p.inverse()
         assert p**10 == (p**5) * (p**5)
-
-    def test_order_and_type_example(self):
-        p = parse_cycles("(1 2 3 4 5)(6 7 8)(9 10)", 10)
-        order, ct = order_and_type(p)
-        assert order == 30
-        assert ct.parts == (5, 3, 2)
 
     def test_alt7_example(self):
         p = parse_cycles("(1 2 3)(4 5)(6 7)", 7)

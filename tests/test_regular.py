@@ -6,18 +6,22 @@ arithmetic on external values, never through action index tables.
 """
 
 import math
+import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regcycle.actions import (
+    AffineVectorsAction,
     CosetsAction,
+    DiagonalAction,
     DiagonalGroupData,
     KSetsAction,
     NaturalAction,
@@ -63,10 +67,10 @@ from regcycle.regular import (
     decide,
     decide_bruteforce,
     decide_fix_union,
+    diagonal_elements,
     diagonal_fpr_audit,
     gl_regular_vector_set,
     kset_decide,
-    kset_verdict,
     kset_witness,
     ksets_theorem_scan,
     min_cover,
@@ -484,13 +488,6 @@ class TestKSetDecide:
                         ct.parts,
                         k,
                     )
-
-    def test_verdict_wrapper(self):
-        v = kset_verdict(CycleType.of((5, 3, 2)), 2)
-        assert not v.has_regular_cycle
-        assert v.method == "kset_combinatorial"
-        assert "cycle_type_decision" in v.flags
-        assert v.group_order_of_g == 30
 
 
 class TestKSetWitness:
@@ -942,9 +939,102 @@ class TestDiagonalAudit:
         r2 = diagonal_fpr_audit(alt5_diagonal, 2, 5, samples=60, seed=3)
         assert r1 == r2
 
+    def test_every_alt5_element_is_regular(self, alt5_diagonal):
+        rep = diagonal_fpr_audit(alt5_diagonal, 1, 5)
+        assert rep.elements_checked == 14400
+        assert rep.irregular == ()
+
+    def test_reports_a_planted_irregular_element(self, alt5_diagonal, monkeypatch):
+        planted = list(diagonal_elements(alt5_diagonal, 2, samples=20, seed=4))[6]
+        # Orbit lengths 2, 3 and 1s: induced order 6, longest cycle 3.
+        irregular_images = np.arange(3600)
+        irregular_images[:5] = [1, 0, 3, 4, 2]
+        build = DiagonalAction.induced_images
+
+        def planting(self, elem):
+            return irregular_images if elem == planted else build(self, elem)
+
+        monkeypatch.setattr(DiagonalAction, "induced_images", planting)
+        rep = diagonal_fpr_audit(alt5_diagonal, 2, 5, samples=20, seed=4)
+        assert rep.elements_checked == 20
+        assert rep.irregular == ((6, planted),)
+
+
+class TestDiagonalElements:
+    def test_exhaustive_order(self, alt5_diagonal):
+        elems = list(diagonal_elements(alt5_diagonal, 1))
+        assert len(elems) == 2 * 120 * 60
+        keys = [(e.sigma.images, e.phi, e.m) for e in elems]
+        assert keys == sorted(keys)
+        assert len(set(elems)) == len(elems)
+
+    def test_samples_follow_the_seeded_draws(self, alt5_diagonal):
+        rng = random.Random(9)
+        expected = []
+        for _ in range(25):
+            sig = [0, 1, 2]
+            rng.shuffle(sig)
+            phi = rng.randrange(120)
+            expected.append((tuple(sig), phi, (rng.randrange(60), rng.randrange(60))))
+        got = [
+            (e.sigma.images, e.phi, e.m)
+            for e in diagonal_elements(alt5_diagonal, 2, samples=25, seed=9)
+        ]
+        assert got == expected
+
 
 # ---------------------------------------------------------------------------
 # Automatic method selection
+
+
+class TestWrongDegree:
+    """A permutation of another degree is refused, never decided."""
+
+    SEVEN_CYCLE = parse_cycles("(1 2 3 4 5 6 7)", 7)
+
+    @pytest.mark.parametrize(
+        "action",
+        [NaturalAction(5), KSetsAction(5, 2), PartitionsAction(2, 3)],
+        ids=["natural", "ksets", "partitions"],
+    )
+    @pytest.mark.parametrize("decider", [decide_bruteforce, decide_fix_union, decide])
+    def test_deciders_raise(self, action, decider):
+        with pytest.raises(ValueError, match=r"element has degree 7, action .* has degree"):
+            decider(action, self.SEVEN_CYCLE)
+
+    @pytest.mark.parametrize(
+        "action, g",
+        [
+            (
+                ProductAction(3, 2),
+                WreathElement([Permutation.identity(3)] * 3, Permutation.identity(3)),
+            ),
+            (VectorsAction(2, 3), Matrix.identity(field_ops(3), 3)),
+            (
+                AffineVectorsAction(2, 3),
+                AffineMap(Matrix.identity(field_ops(3), 3), (0, 0, 0)),
+            ),
+        ],
+        ids=["product", "vectors", "affine"],
+    )
+    @pytest.mark.parametrize("decider", [decide_bruteforce, decide_fix_union, decide])
+    def test_tuple_families_raise(self, action, g, decider):
+        with pytest.raises(ValueError, match="does not match the action"):
+            decider(action, g)
+
+    @pytest.mark.parametrize(
+        "action, method",
+        [
+            (KSetsAction(60, 3), "kset_combinatorial"),
+            (PartitionsAction(5, 12), "constructive_proof"),
+        ],
+        ids=["ksets", "partitions"],
+    )
+    def test_unlisted_rows_raise(self, action, method):
+        right = Permutation.identity(60)
+        assert decide(action, right, domain_cap=100).method == method
+        with pytest.raises(ValueError, match="has degree 60"):
+            decide(action, self.SEVEN_CYCLE, domain_cap=100)
 
 
 class TestDecideAuto:

@@ -6,6 +6,7 @@ the acceptance test module.
 
 import pytest
 
+from regcycle.actions import DiagonalAction
 from regcycle.regular import DomainCapError
 from regcycle.verify import (
     RunConfig,
@@ -16,16 +17,6 @@ from regcycle.verify import (
     run_suite,
     scan_ksets,
     scan_partitions,
-    suite_a6_family,
-    suite_affine,
-    suite_bounds_all,
-    suite_diagonal,
-    suite_gl,
-    suite_identity_checks,
-    suite_ksets,
-    suite_partitions,
-    suite_product,
-    suite_s6_exception,
 )
 
 
@@ -33,15 +24,12 @@ class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.domain_cap == 10**7
-        assert cfg.group_cap == 5 * 10**6
         assert cfg.seed == 0
         assert cfg.output == "json"
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RunConfig(domain_cap=0)
-        with pytest.raises(ValueError):
-            RunConfig(group_cap=-1)
         with pytest.raises(ValueError):
             RunConfig(output="xml")
 
@@ -68,14 +56,54 @@ class TestReportShape:
             run_suite("nope")
 
 
+class TestRunner:
+    def test_raising_check_fails_its_line_and_later_lines_run(self, monkeypatch):
+        ran = []
+
+        def demo(config, tag="x"):
+            def ok():
+                ran.append("ok")
+                return f"fine {tag} seed {config.seed}"
+
+            def broken():
+                ran.append("broken")
+                raise KeyError("lost")
+
+            def after():
+                ran.append("after")
+                return "still ran"
+
+            for name, check in (("first", ok), ("second", broken), ("third", after)):
+                ran.append(f"yield {name}")
+                yield name, check
+
+        monkeypatch.setitem(SUITES, "demo", demo)
+        rep = run_suite("demo", tag="y")
+        # Each check runs before the suite yields the next one.
+        assert ran == [
+            "yield first", "ok", "yield second", "broken", "yield third", "after"
+        ]
+        assert rep.suite == "demo"
+        assert rep.lines == (
+            SuiteLine("first", True, "fine y seed 0"),
+            SuiteLine("second", False, "KeyError: 'lost'"),
+            SuiteLine("third", True, "still ran"),
+        )
+        assert rep.failures == (rep.lines[1],)
+
+
 class TestSuiteKsets:
     def test_reduced_pass(self):
-        rep = suite_ksets(RunConfig(), oracle_m_max=8, scan_m_max=10)
+        rep = run_suite("ksets", RunConfig(), oracle_m_max=8, scan_m_max=10)
         assert rep.all_ok, rep.failures
         names = [line.name for line in rep.lines]
         assert "pair_sets_type_5_3_2" in names
         assert "threshold_law_k3" in names
         assert "combinatorial_vs_bruteforce_m8" in names
+        assert names == [
+            "pair_sets_type_5_3_2",
+            "threshold_law_k1", "threshold_law_k2", "threshold_law_k3",
+        ] + [f"combinatorial_vs_bruteforce_m{m}" for m in range(2, 9)]
 
     def test_oracle_prices(self):
         assert [ksets_oracle_price(m) for m in (2, 13, 16, 17)] == [
@@ -90,61 +118,100 @@ class TestSuiteKsets:
 
         monkeypatch.setattr(verify, "_checked", never)
         with pytest.raises(DomainCapError, match="m=8 has 3564 points, cap is 1000"):
-            suite_ksets(RunConfig(domain_cap=1000), oracle_m_max=8, scan_m_max=8)
+            run_suite(
+                "ksets", RunConfig(domain_cap=1000), oracle_m_max=8, scan_m_max=8
+            )
 
 
 class TestSuitePartitions:
     def test_reduced_pass(self):
-        rep = suite_partitions(
-            RunConfig(), exhaustive=(6,), sampled=(10,), conjugates_per_type=3
+        rep = run_suite(
+            "partitions",
+            RunConfig(),
+            exhaustive=(6,),
+            sampled=(10,),
+            conjugates_per_type=3,
         )
         assert rep.all_ok, rep.failures
         names = [line.name for line in rep.lines]
         assert "exhaustive_2x3" in names
         assert "types_and_conjugates_2x5" in names
         assert "shape_2x2_exception" in names
+        assert names == [
+            "exhaustive_2x3", "exhaustive_3x2",
+            "types_and_conjugates_2x5", "types_and_conjugates_5x2",
+            "shape_2x2_exception",
+        ]
 
 
 class TestSuiteProduct:
     def test_single_case(self):
-        rep = suite_product(RunConfig(), cases=((3, 2),))
+        rep = run_suite("product", RunConfig(), cases=((3, 2),))
         assert rep.all_ok, rep.failures
         assert "72" in rep.lines[0].detail
+        assert [line.name for line in rep.lines] == ["wreath_sym3_copies2"]
 
 
 class TestSuiteLinear:
     def test_gl(self):
-        rep = suite_gl(RunConfig(), cases=((1, 7), (2, 3)))
+        rep = run_suite("gl", RunConfig(), cases=((1, 7), (2, 3)))
         assert rep.all_ok, rep.failures
+        assert [line.name for line in rep.lines] == ["gl_1_7", "gl_2_3"]
 
     def test_affine(self):
-        rep = suite_affine(RunConfig(), cases=((1, 7), (2, 3)))
+        rep = run_suite("affine", RunConfig(), cases=((1, 7), (2, 3)))
         assert rep.all_ok, rep.failures
+        assert [line.name for line in rep.lines] == ["agl_1_7", "agl_2_3"]
 
 
 class TestSuiteDiagonal:
     def test_reduced_pass(self):
-        rep = suite_diagonal(RunConfig(), samples=200, realize=False)
+        rep = run_suite("diagonal", RunConfig(), samples=200, realize=False)
         assert rep.all_ok, rep.failures
         names = [line.name for line in rep.lines]
         assert "full_group_copies1" in names
         assert "realized_group_copies1" not in names
         assert "fpr_bounds_copies1" in names
+        assert names == [
+            "full_group_copies1", "sampled_copies2",
+            "fpr_bounds_copies1", "fpr_bounds_copies2",
+        ]
 
     def test_seed_determinism(self):
-        rep1 = suite_diagonal(RunConfig(seed=7), samples=100, realize=False)
-        rep2 = suite_diagonal(RunConfig(seed=7), samples=100, realize=False)
+        rep1 = run_suite("diagonal", RunConfig(seed=7), samples=100, realize=False)
+        rep2 = run_suite("diagonal", RunConfig(seed=7), samples=100, realize=False)
         assert [l.detail for l in rep1.lines] == [l.detail for l in rep2.lines]
+
+    def test_one_image_build_per_element_per_pass(self, monkeypatch):
+        build = DiagonalAction.induced_images
+        calls = []
+
+        def counted(self, elem):
+            calls.append(self.copies)
+            return build(self, elem)
+
+        monkeypatch.setattr(DiagonalAction, "induced_images", counted)
+        rep = run_suite("diagonal", RunConfig(), samples=200, realize=False)
+        assert rep.all_ok, rep.failures
+        # The 14 400 elements of the one-coordinate group, then 200 samples
+        # on two coordinates: each element's images are built once.
+        assert len(calls) == 14_600
+        assert calls.count(1) == 14_400 and calls.count(2) == 200
 
 
 class TestSuiteCosets:
     def test_s6_exception(self):
-        rep = suite_s6_exception(RunConfig())
+        rep = run_suite("s6-exception", RunConfig())
         assert rep.all_ok, rep.failures
         assert len(rep.lines) == 3
+        assert [line.name for line in rep.lines] == [
+            "two_stabilizer_classes",
+            "twisted_cosets_break_six_cycles",
+            "natural_cosets_keep_six_cycles",
+        ]
 
     def test_a6_family(self):
-        rep = suite_a6_family(RunConfig())
+        rep = run_suite("remark-a6", RunConfig())
         assert rep.all_ok, rep.failures
         assert [line.name for line in rep.lines] == [
             "pgl2_9", "m10", "pgammal2_9",
@@ -153,17 +220,28 @@ class TestSuiteCosets:
 
 class TestSuiteIdentities:
     def test_reduced_corpus(self):
-        rep = suite_identity_checks(RunConfig(), corpus_target=1500)
+        rep = run_suite("lemma-identities", RunConfig(), corpus_target=1500)
         assert rep.all_ok, rep.failures
         corpus_line = rep.lines[-1]
         assert corpus_line.name == "fix_union_vs_bruteforce_corpus"
+        assert [line.name for line in rep.lines] == [
+            "wreath_fpr_sym3_wr_sym2",
+            "wreath_fpr_sym4_wr_sym2",
+            "wreath_fpr_sym3_wr_sym3",
+            "fix_union_vs_bruteforce_corpus",
+        ]
 
 
 class TestSuiteBounds:
     def test_reduced_pass(self):
-        rep = suite_bounds_all(RunConfig(), full=False)
+        rep = run_suite("bounds-all", RunConfig(), full=False)
         assert rep.all_ok, rep.failures
         assert len(rep.lines) == 7
+        assert [line.name for line in rep.lines] == [
+            "divisor_sum_vs_loglog", "max_order_vs_sqrt_bound",
+            "factorial_brackets", "prime_power_balance",
+            "alpha_beta_product", "diagonal_crude", "e8_order_growth",
+        ]
 
 
 class TestScans:
