@@ -5,16 +5,19 @@ a 0-based internal index; `point` and `index` convert between an index and
 the external point. External representations (tuples, blocks, vectors, coset
 representatives) use 1-based point labels wherever the underlying set is a
 permutation domain; finite field coordinates keep their 0-based element
-codes. An action defines its map once: either `apply`, which pushes one
-index forward under a group element, or `apply_external`, which pushes one
-external point; `Action` derives the other. `induced_images` materializes
-the whole induced map as an image array.
+codes. An action defines its map once, as `move(g, x)` on its own internal
+point form x: the index on the natural and coset actions, the sorted
+0-based tuple on k-sets, the canonical 0-based blocks on partitions, and
+the 0-based digits on the tuple actions. `internal` checks an external
+point and converts it to that form, raising ValueError for a non-point,
+and `external` converts back. `Action.apply_external` is the one external
+map, and `induced_images` materializes the whole induced map as an image
+array.
 
 The product, vector, affine and diagonal actions are `TupleAction`s: their
-points are little-endian digit tuples, and each writes its map once, as
-`move(g, digits)` on 0-based digits that may be plain ints or numpy index
-arrays. `TupleAction` derives the point codec, `apply`, `apply_external`
-and `induced_images` from that one formula.
+points are little-endian digit tuples, and their `move` takes digits that
+may be plain ints or numpy index arrays. `TupleAction` derives the point
+codec and `induced_images` from that one formula.
 
 The k-set and partition actions build their image arrays from tables of
 their whole point listing: all k-subsets in colex order, and all uniform
@@ -81,8 +84,11 @@ def power_images(images: Sequence[int], exponent: int) -> Sequence[int]:
 class Action:
     """Right action of group elements on an indexed finite point set.
 
-    A subclass defines its map once, either as `apply` on indices or as
-    `apply_external` on external points; each is derived from the other.
+    A subclass defines its map once, as `move(g, x)` on its internal point
+    form x. `internal(pt)` checks an external point and returns that form,
+    raising ValueError for a non-point, and `external(x)` converts back. By
+    default the internal form is the index, and `induced_images` lists
+    `move` over it. `apply_external` and `apply` are derived from the three.
     """
 
     name: str
@@ -96,6 +102,15 @@ class Action:
     def element_order(self, g) -> int:
         self._check(g)
         return g.order()
+
+    def internal(self, pt):
+        return self.index(pt)
+
+    def external(self, x):
+        return self.point(x)
+
+    def move(self, g, x):
+        raise NotImplementedError
 
     def apply(self, g, idx: int) -> int:
         return self.index(self.apply_external(g, self.point(idx)))
@@ -111,14 +126,15 @@ class Action:
         return self.point(idx)
 
     def induced_images(self, g) -> Sequence[int]:
-        return [self.apply(g, i) for i in range(self.size)]
+        return [self.move(g, i) for i in range(self.size)]
 
     def compose(self, g, h):
         """The element that acts as g, then h."""
         return g * h
 
     def apply_external(self, g, pt):
-        return self.point(self.apply(g, self.index(pt)))
+        self._check(g)
+        return self.external(self.move(g, self.internal(pt)))
 
 
 def _check_degree(action, g: Permutation) -> None:
@@ -141,7 +157,7 @@ class NaturalAction(Action):
         self.size = degree
         self.name = f"natural:{degree}"
 
-    def apply(self, g: Permutation, idx: int) -> int:
+    def move(self, g: Permutation, idx: int) -> int:
         return g.images[idx]
 
     def induced_images(self, g: Permutation) -> Sequence[int]:
@@ -238,23 +254,29 @@ class KSetsAction(Action):
         rows.sort(axis=1)
         return self._binom[rows, np.arange(self.k)].sum(axis=1)
 
-    def point(self, idx: int) -> tuple[int, ...]:
-        return tuple(v + 1 for v in self._unrank(idx))
-
-    def index(self, pt: Iterable[int]) -> int:
+    def internal(self, pt: Iterable[int]) -> tuple[int, ...]:
         vals = sorted(pt)
         if len(vals) != self.k or len(set(vals)) != self.k:
             raise ValueError(f"expected {self.k} distinct points, got {vals}")
         if vals[0] < 1 or vals[-1] > self.degree:
             raise ValueError(f"points must lie in 1..{self.degree}: {vals}")
-        return _colex_rank([v - 1 for v in vals])
+        return tuple(v - 1 for v in vals)
+
+    def external(self, x: Sequence[int]) -> tuple[int, ...]:
+        return tuple(v + 1 for v in x)
+
+    def move(self, g: Permutation, x: Sequence[int]) -> tuple[int, ...]:
+        imgs = g.images
+        return tuple(sorted(imgs[v] for v in x))
+
+    def point(self, idx: int) -> tuple[int, ...]:
+        return self.external(self._unrank(idx))
+
+    def index(self, pt: Iterable[int]) -> int:
+        return _colex_rank(self.internal(pt))
 
     def point_json(self, idx: int) -> list[int]:
         return list(self.point(idx))
-
-    def apply_external(self, g: Permutation, pt: Iterable[int]) -> tuple[int, ...]:
-        vals = [v - 1 for v in pt]
-        return tuple(sorted(g.images[v] + 1 for v in vals))
 
 
 def partitions_count(block_size: int, block_count: int) -> int:
@@ -267,14 +289,6 @@ def partitions_count(block_size: int, block_count: int) -> int:
 def canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     """Canonical form of a block system: blocks sorted, each sorted inside."""
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
-
-
-def apply_to_blocks(
-    g: Permutation, blocks: Iterable[Iterable[int]]
-) -> tuple[tuple[int, ...], ...]:
-    """Image of a 0-based block system under g, in canonical form."""
-    imgs = g.images
-    return canonical_blocks([imgs[v] for v in block] for block in blocks)
 
 
 def _complements(subsets: np.ndarray, m: int) -> np.ndarray:
@@ -325,8 +339,9 @@ class PartitionsAction(Action):
     """Action on partitions of {1..a*b} into b unordered blocks of size a.
 
     Partitions are stored canonically: each block sorted ascending, blocks
-    ordered by their minimum. Index-based access works only while the count
-    stays below an internal cap; apply_external works at any scale.
+    ordered by their minimum; the internal form is the canonical 0-based
+    blocks. Index-based access works only while the count stays below an
+    internal cap; apply_external works at any scale.
 
     The listing is a small-int array (size, b, a), built on first use
     together with the sorted keys of its partitions. The key gives point x
@@ -387,38 +402,38 @@ class PartitionsAction(Action):
         weights = self._weights[np.asarray(g.images)]
         return self._index_of_keys(self._keys(weights, self._enum))
 
-    def point(self, idx: int) -> tuple[tuple[int, ...], ...]:
-        self._materialize()
-        return tuple(tuple(v + 1 for v in block) for block in self._enum[idx].tolist())
-
-    def index(self, pt: Iterable[Iterable[int]]) -> int:
-        self._materialize()
-        internal = canonical_blocks([v - 1 for v in block] for block in pt)
-        self._validate(internal)
-        key = self._keys(self._weights, np.array([internal]))
-        return int(self._index_of_keys(key)[0])
-
-    def _validate(self, internal: tuple[tuple[int, ...], ...]) -> None:
-        flat = [v for block in internal for v in block]
-        if len(internal) != self.block_count or any(
-            len(b) != self.block_size for b in internal
+    def internal(self, pt: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+        blocks = canonical_blocks([v - 1 for v in block] for block in pt)
+        if len(blocks) != self.block_count or any(
+            len(b) != self.block_size for b in blocks
         ):
             raise ValueError(
                 f"expected {self.block_count} blocks of size {self.block_size}"
             )
-        if sorted(flat) != list(range(self.degree)):
+        if sorted(v for block in blocks for v in block) != list(range(self.degree)):
             raise ValueError(f"blocks must partition 1..{self.degree}")
+        return blocks
+
+    def external(self, x: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(v + 1 for v in block) for block in x)
+
+    def move(
+        self, g: Permutation, x: Iterable[Iterable[int]]
+    ) -> tuple[tuple[int, ...], ...]:
+        imgs = g.images
+        return canonical_blocks([imgs[v] for v in block] for block in x)
+
+    def point(self, idx: int) -> tuple[tuple[int, ...], ...]:
+        self._materialize()
+        return self.external(self._enum[idx].tolist())
+
+    def index(self, pt: Iterable[Iterable[int]]) -> int:
+        self._materialize()
+        key = self._keys(self._weights, np.array([self.internal(pt)]))
+        return int(self._index_of_keys(key)[0])
 
     def point_json(self, idx: int) -> list[list[int]]:
         return [list(block) for block in self.point(idx)]
-
-    def apply_external(
-        self, g: Permutation, pt: Iterable[Iterable[int]]
-    ) -> tuple[tuple[int, ...], ...]:
-        internal = canonical_blocks([v - 1 for v in block] for block in pt)
-        self._validate(internal)
-        image = apply_to_blocks(g, internal)
-        return tuple(tuple(v + 1 for v in block) for block in image)
 
 
 class WreathElement:
@@ -516,13 +531,13 @@ class TupleAction(Action):
     """Action on the tuples of `length` digits in 0..radix-1.
 
     Index i packs a tuple little-endian (the first coordinate varies
-    fastest). An external point adds `offset` to every digit: 1 where the
-    digits are points of a permutation domain, 0 where they are field
-    codes. A subclass defines its map once, as move(g, digits): it takes a
-    list of 0-based digits, each a plain int or a numpy index array, and
-    returns the image digits. It reads only numpy tables, so the same
-    formula moves one point and, on index arrays, builds the whole image
-    array.
+    fastest). The internal form is the list of 0-based digits, and an
+    external point adds `offset` to every digit: 1 where the digits are
+    points of a permutation domain, 0 where they are field codes. A
+    subclass's move(g, digits) takes digits that are each a plain int or a
+    numpy index array, and returns the image digits. It reads only numpy
+    tables, so the same formula moves one point and, on index arrays,
+    builds the whole image array.
     """
 
     def __init__(self, radix: int, length: int, offset: int, name: str):
@@ -531,9 +546,6 @@ class TupleAction(Action):
         self.offset = offset
         self.size = radix**length
         self.name = name
-
-    def move(self, g, digits: list) -> list:
-        raise NotImplementedError
 
     def _decode(self, idx):
         digits = []
@@ -548,8 +560,7 @@ class TupleAction(Action):
             idx = idx * self.radix + v
         return idx
 
-    def _digits(self, pt: Iterable[int]) -> list[int]:
-        """The 0-based digits of an external point, checked."""
+    def internal(self, pt: Iterable[int]) -> list[int]:
         digits = [v - self.offset for v in pt]
         if len(digits) != self.length:
             raise ValueError(f"expected {self.length} coordinates")
@@ -558,25 +569,19 @@ class TupleAction(Action):
             raise ValueError(f"coordinates must lie in {lo}..{lo + self.radix - 1}")
         return digits
 
+    def external(self, digits) -> tuple[int, ...]:
+        return tuple([int(v) + self.offset for v in digits])
+
     def point(self, idx: int) -> tuple[int, ...]:
         if not 0 <= idx < self.size:
             raise IndexError(idx)
-        return tuple(int(v) + self.offset for v in self._decode(idx))
+        return self.external(self._decode(idx))
 
     def index(self, pt: Iterable[int]) -> int:
-        return self._encode(self._digits(pt))
+        return self._encode(self.internal(pt))
 
     def point_json(self, idx: int) -> list[int]:
         return list(self.point(idx))
-
-    def apply(self, g, idx: int) -> int:
-        self._check(g)
-        # Python ints, so that indices past the int64 range stay exact.
-        return self._encode([int(v) for v in self.move(g, self._decode(idx))])
-
-    def apply_external(self, g, pt: Iterable[int]) -> tuple[int, ...]:
-        self._check(g)
-        return tuple([int(v) + self.offset for v in self.move(g, self._digits(pt))])
 
     def induced_images(self, g) -> np.ndarray:
         self._check(g)
@@ -688,7 +693,7 @@ class CosetsAction(Action):
             raise AssertionError("coset enumeration does not tile the group")
         self.name = f"cosets:{label or f'{group.order}/{subgroup.order}'}"
 
-    def apply(self, g: Permutation, idx: int) -> int:
+    def move(self, g: Permutation, idx: int) -> int:
         image = self._coset_of.get(self._reps[idx] * g)
         if image is None:
             raise ValueError("element does not belong to the acting group")

@@ -6,8 +6,10 @@ an orbit exists for a given induced action, or constructs one explicitly and
 certifies it with `certify_regular`: a point lies on a regular cycle exactly
 when no power g^(|g|/p), with p a prime dividing |g|, fixes it, and those
 powers are applied from shared squarings of g, so the check never walks the
-orbit. Certification failures raise AssertionError: a construction is never
-allowed to return silently wrong.
+orbit. The certificate checks the witness once, with the action's
+`internal`, and moves it in that internal form. Certification failures,
+a witness that is not a point among them, raise AssertionError: a
+construction is never allowed to return silently wrong.
 
 `decide` runs the first row of one ordered table, DECIDE_TABLE, that applies
 to the action and element: the two enumerating deciders while the action is
@@ -171,29 +173,36 @@ def _verdict(
 def certify_regular(action: Action, g, pt, order: int) -> None:
     """Assert that the external point pt lies on a g-cycle of length `order`.
 
-    pt must be in the canonical form that action.apply_external returns.
-    Its orbit length divides `order` when g^order fixes it, and equals
-    `order` when, besides, no g^(order/p) with p a prime dividing `order`
-    fixes it. The powers act through the shared squarings g, g^2, g^4, ...,
-    so the check costs bit_length(order) - 1 compositions and popcount(e)
-    applications per exponent e checked, never a walk of the orbit.
+    pt may be in any form that action.internal accepts; anything that is
+    not a point of the action raises AssertionError. g and pt are checked
+    once, and the point is then moved in the action's internal form. Its
+    orbit length divides `order` when g^order fixes it, and equals `order`
+    when, besides, no g^(order/p) with p a prime dividing `order` fixes it.
+    The powers act through the shared squarings g, g^2, g^4, ..., so the
+    check costs bit_length(order) - 1 compositions and popcount(e) moves
+    per exponent e checked, never a walk of the orbit.
     """
+    action._check(g)
+    # Raised explicitly, so that the checks also run under python -O.
+    try:
+        x = action.internal(pt)
+    except ValueError as exc:
+        raise AssertionError(f"{pt} is not a point of {action.name}: {exc}") from exc
     squares = [g]
     for _ in range(order.bit_length() - 1):
         squares.append(action.compose(squares[-1], squares[-1]))
 
     def image(e: int):
-        out = pt
+        out = x
         for bit, sq in enumerate(squares):
             if e >> bit & 1:
-                out = action.apply_external(sq, out)
+                out = action.move(sq, out)
         return out
 
-    # Raised explicitly, so that the check also runs under python -O.
-    if image(order) != pt:
+    if image(order) != x:
         raise AssertionError(f"g^{order} moves the point {pt}")
     for p in factorize(order).primes:
-        if image(order // p) == pt:
+        if image(order // p) == x:
             raise AssertionError(f"g^({order}/{p}) fixes the point {pt}")
 
 
@@ -323,7 +332,6 @@ class KSetDecision:
     k: int
     min_cover_s: int
     chosen_lengths: tuple[int, ...]
-    chosen_cycles: tuple[int, ...]
     case_tag: str
     has_regular_cycle: bool
 
@@ -347,7 +355,6 @@ def kset_decide(ct: CycleType, k: int) -> KSetDecision:
     if k < 1 or 2 * k > m:
         raise ValueError(f"k={k} out of range for degree {m} (need 1 <= k <= m/2)")
     s, lengths = min_cover(ct.parts)
-    chosen_idx = tuple(ct.parts.index(v) for v in lengths)
     regular = s <= k
     if not regular:
         tag = CASE_IMPOSSIBLE
@@ -359,7 +366,6 @@ def kset_decide(ct: CycleType, k: int) -> KSetDecision:
         k=k,
         min_cover_s=s,
         chosen_lengths=lengths,
-        chosen_cycles=chosen_idx,
         case_tag=tag,
         has_regular_cycle=regular,
     )
@@ -377,14 +383,15 @@ def kset_witness(g: Permutation, k: int) -> tuple[int, ...]:
     chosen cycle plus the smallest points off their supports.
     Raises ValueError when no regular k-set exists.
     """
-    ct = g.cycle_type()
+    cycles = g.cycles(include_fixed=True)
+    ct = CycleType.of(len(cyc) for cyc in cycles)
     m = ct.degree
     decision = kset_decide(ct, k)
     if not decision.has_regular_cycle:
         raise ValueError(
             f"no regular cycle on {k}-sets for cycle type {list(ct.parts)}"
         )
-    chosen = _first_cycles(g.cycles(include_fixed=True), decision.chosen_lengths)
+    chosen = _first_cycles(cycles, decision.chosen_lengths)
     s = decision.min_cover_s
     ell = sum(decision.chosen_lengths)
     picked: list[int] = []
@@ -411,7 +418,7 @@ def kset_witness(g: Permutation, k: int) -> tuple[int, ...]:
                 pad -= 1
         assert pad == 0
     witness = tuple(sorted(v + 1 for v in picked))
-    certify_regular(KSetsAction(m, k), g, witness, g.order())
+    certify_regular(KSetsAction(m, k), g, witness, ct.order)
     return witness
 
 
@@ -582,18 +589,17 @@ def partition_witness(
     trivially and a 4-cycle has orbits of length at most 2, so neither has
     a regular cycle.
     """
-    if a < 2 or b < 2:
-        raise ValueError(f"block shape ({a}, {b}) needs a, b >= 2")
-    if a * b != g.degree:
-        raise ValueError(f"degree {g.degree} does not match blocks {a}x{b}")
+    action = PartitionsAction(a, b)
+    action._check(g)
     if (a, b) == (2, 2):
         raise PartitionCaseError(
             "shape (2, 2) has only 3 partitions; elements of order 4 "
             "cannot have a regular cycle there"
         )
     n = a * b
-    s, lengths = min_cover(g.cycle_type().parts)
     cycles = g.cycles(include_fixed=True)
+    ct = CycleType.of(len(cyc) for cyc in cycles)
+    s, lengths = min_cover(ct.parts)
     chosen = _first_cycles(cycles, lengths)
     ordered = chosen + [cyc for cyc in cycles if cyc not in chosen]
     # Standard label i is the point back[i]: cycles become consecutive runs.
@@ -608,23 +614,8 @@ def partition_witness(
     else:
         lead = _partition_case_overflow(lengths, starts, a)
 
-    actual = [[back[v] for v in blk] for blk in _fill(lead, a, n)]
-    return _certified_partition(g, a, b, actual)
-
-
-def _certified_partition(
-    g: Permutation, a: int, b: int, blocks: Sequence[Sequence[int]]
-) -> tuple[tuple[int, ...], ...]:
-    """The 1-based canonical form of a 0-based block system, certified."""
-    result = canonical_blocks(blocks)
-    flat = sorted(v for blk in result for v in blk)
-    # Raised explicitly, so that the check also runs under python -O.
-    if flat != list(range(a * b)):
-        raise AssertionError("blocks do not partition the domain")
-    if len(result) != b or any(len(blk) != a for blk in result):
-        raise AssertionError(f"blocks are not {b} blocks of size {a}")
-    witness = tuple(tuple(v + 1 for v in blk) for blk in result)
-    certify_regular(PartitionsAction(a, b), g, witness, g.order())
+    witness = canonical_blocks([back[v] + 1 for v in blk] for blk in _fill(lead, a, n))
+    certify_regular(action, g, witness, ct.order)
     return witness
 
 

@@ -16,6 +16,8 @@ from regcycle.permcore import CycleType, canonical_permutation
 from regcycle.regular import decide, wreath_fpr_max
 from regcycle.verify import RunConfig, run_suite
 
+pytestmark = pytest.mark.slow
+
 CONFIG = RunConfig()
 
 

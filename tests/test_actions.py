@@ -329,14 +329,25 @@ def uniform_partitions_reference(block_size: int, points: tuple[int, ...]):
             yield ((first,) + comb,) + tail
 
 
+def check_point_contract(act, g) -> None:
+    """induced_images agrees, on every point, with apply and with
+    index(apply_external(g, point(i))), and internal and external are
+    inverse on every point."""
+    images = act.induced_images(g)
+    for i in range(act.size):
+        pt = act.point(i)
+        assert images[i] == act.index(act.apply_external(g, pt))
+        assert act.apply_external(g, pt) == act.point(act.apply(g, i))
+        assert act.external(act.internal(pt)) == pt
+
+
 def check_listed_contract(act, g) -> None:
-    """induced_images of a k-set or partition action is an int64 array
-    that agrees, on every point, with index(apply_external(g, point(i)))."""
+    """induced_images of a k-set or partition action is an int64 array,
+    and the point contract holds."""
     images = act.induced_images(g)
     assert isinstance(images, np.ndarray) and images.dtype == np.int64
     assert images.shape == (act.size,)
-    for i in range(act.size):
-        assert images[i] == act.index(act.apply_external(g, act.point(i)))
+    check_point_contract(act, g)
 
 
 class TestListedImageContract:
@@ -351,6 +362,18 @@ class TestListedImageContract:
     def test_partitions(self, shape, data):
         a, b = shape
         check_listed_contract(PartitionsAction(a, b), data.draw(perm_strategy(a * b)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 9), st.data())
+    def test_natural(self, n, data):
+        check_point_contract(NaturalAction(n), data.draw(perm_strategy(n)))
+
+    @pytest.mark.parametrize("point", [1, 2])
+    def test_cosets(self, point):
+        group = symmetric_group(4)
+        act = CosetsAction(group, point_stabilizer(group, point))
+        for g in group.elements[::5]:
+            check_point_contract(act, g)
 
     @pytest.mark.parametrize("degree", range(1, 10))
     def test_ksets_table_is_colex(self, degree):
@@ -376,7 +399,9 @@ class TestListedImageContract:
         kset, part = KSetsAction(12, 4), PartitionsAction(3, 3)
         g = parse_cycles("(1 2 3)", 12)
         assert kset.apply_external(g, (1, 5, 7, 9)) == (2, 5, 7, 9)
-        assert part.apply_external(g, ((1, 4, 7), (2, 5, 8), (3, 6, 9)))
+        assert part.apply_external(
+            parse_cycles("(1 2 3)", 9), ((1, 4, 7), (2, 5, 8), (3, 6, 9))
+        )
         assert kset._combos is None and part._enum is None
         kset.induced_images(g)
         part.induced_images(parse_cycles("(1 2 3)", 9))
@@ -388,6 +413,32 @@ class TestListedImageContract:
             parse_cycles("(1 2)", 30), [range(i, i + 3) for i in range(1, 31, 3)]
         )[0] == (1, 2, 3)
         assert big._enum is None
+
+
+class TestSinglePointChecks:
+    """apply_external refuses an element of the wrong degree and a
+    non-point with ValueError, before it moves anything."""
+
+    @pytest.mark.parametrize("pt", [(0, 3), (3, 3), (1, 2, 3)])
+    def test_kset_non_points(self, pt):
+        with pytest.raises(ValueError):
+            KSetsAction(5, 2).apply_external(parse_cycles("(1 2 3 4 5)", 5), pt)
+
+    def test_kset_wrong_degree(self):
+        with pytest.raises(ValueError, match="element has degree 9, action ksets:5:2 has degree 5"):
+            KSetsAction(5, 2).apply_external(parse_cycles("(1 7)", 9), (1, 2))
+
+    def test_partition_wrong_degree(self):
+        with pytest.raises(
+            ValueError, match="element has degree 12, action partitions:3:3 has degree 9"
+        ):
+            PartitionsAction(3, 3).apply_external(
+                parse_cycles("(1 10)", 12), ((1, 4, 7), (2, 5, 8), (3, 6, 9))
+            )
+
+    def test_natural_wrong_degree(self):
+        with pytest.raises(ValueError, match="element has degree 9, action natural:5 has degree 5"):
+            NaturalAction(5).apply_external(parse_cycles("(3 9)", 9), 3)
 
 
 def random_wreath(rng: random.Random, d: int, l: int) -> WreathElement:
@@ -563,6 +614,7 @@ def check_tuple_contract(act, g, reference) -> None:
         image = act.apply_external(g, pt)
         assert image == act.point(j) == tuple(reference(pt))
         assert all(type(v) is int for v in image)
+        assert act.external(act.internal(pt)) == pt
     pt = act.point(act.size - 1)
     lo, hi = act.offset, act.offset + act.radix - 1
     for bad in (pt[:-1], pt + (lo,), (hi + 1,) + pt[1:], (lo - 1,) + pt[1:]):

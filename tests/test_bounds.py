@@ -195,6 +195,7 @@ class TestTechnical:
         assert rep.all_pass
         assert rep.min_gap >= MARGIN
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("margin", [MARGIN, 0.5, 3.0, 10.0])
     def test_sweep_matches_every_grid_point(self, margin):
         expected = technical_pointwise(3, 40, margin)

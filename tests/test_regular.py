@@ -59,7 +59,6 @@ from regcycle.regular import (
     DomainCapError,
     PartitionCaseError,
     Verdict,
-    _certified_partition,
     _orbit_lengths_and_order,
     affine_witness,
     certify_regular,
@@ -362,6 +361,26 @@ class TestCertifyRegular:
         with pytest.raises(AssertionError, match="moves"):
             certify_regular(NaturalAction(4), g, 1, 2)
 
+    @pytest.mark.parametrize(
+        "action, g, pt, order",
+        [
+            (KSetsAction(5, 2), parse_cycles("(1 2 3 4 5)", 5), (3, 3), 5),
+            (KSetsAction(5, 2), parse_cycles("(1 2 3 4 5)", 5), (1, 2, 3), 5),
+            (PartitionsAction(2, 3), parse_cycles("(1 2 3 4 5 6)", 6), ((1, 2, 3), (4, 5, 6)), 6),
+            (PartitionsAction(2, 3), parse_cycles("(1 2 3 4 5 6)", 6), ((1, 3), (2, 4), (5, 5)), 6),
+            (
+                ProductAction(3, 2),
+                WreathElement([parse_cycles("(1 2 3)", 3)] * 2, Permutation.identity(2)),
+                (1, 4),
+                3,
+            ),
+        ],
+        ids=["kset-repeated", "kset-too-many", "partition-block-size", "partition-repeated", "tuple-range"],
+    )
+    def test_rejects_a_non_point(self, action, g, pt, order):
+        with pytest.raises(AssertionError, match=rf"is not a point of {action.name}"):
+            certify_regular(action, g, pt, order)
+
     @settings(max_examples=80, deadline=None)
     @given(perm_strategy(7), st.integers(1, 3))
     def test_matches_orbit_walk(self, g, k):
@@ -457,6 +476,7 @@ class TestKSetDecide:
         assert d2.case_tag == CASE_CONSECUTIVE_RUNS
         d3 = kset_decide(CycleType.of((3, 2, 1)), 3)
         assert d3.has_regular_cycle
+        assert kset_decide(CycleType.of((6, 4, 2)), 2).chosen_lengths == (4, 6)
 
     def test_padded_case_tag(self):
         # chosen = (2, 3), ell - s = 3 < k = 4 on 10 points.
@@ -469,12 +489,6 @@ class TestKSetDecide:
             kset_decide(CycleType.of((3, 2)), 3)
         with pytest.raises(ValueError):
             kset_decide(CycleType.of((3, 2)), 0)
-
-    def test_chosen_cycles_index_parts(self):
-        ct = CycleType.of((6, 4, 2))
-        d = kset_decide(ct, 2)
-        assert d.chosen_lengths == (4, 6)
-        assert tuple(ct.parts[i] for i in d.chosen_cycles) == d.chosen_lengths
 
     def test_matches_bruteforce_small_degrees(self):
         for m in range(2, 10):
@@ -863,17 +877,20 @@ class TestChecksUnderOptimize:
         # Each check meets a bad input; under -O an `assert` would not run.
         script = (
             "import sys\n"
-            "from regcycle.actions import NaturalAction\n"
+            "from regcycle.actions import KSetsAction, NaturalAction, PartitionsAction\n"
             "from regcycle.gfalgebra import Matrix, field_ops\n"
             "from regcycle.permcore import parse_cycles\n"
-            "from regcycle.regular import _certified_partition, certify_regular, confirmed_order\n"
+            "from regcycle.regular import certify_regular, confirmed_order\n"
             "if sys.flags.optimize < 1:\n"
             "    sys.exit('not running under -O')\n"
             "g = parse_cycles('(1 2 3 4)(5 6)', 6)\n"
             "cases = [\n"
             "    lambda: certify_regular(NaturalAction(6), g, 5, 4),\n"
-            "    lambda: _certified_partition(g, 2, 3, [[0, 1], [2, 3], [4, 4]]),\n"
-            "    lambda: _certified_partition(g, 2, 3, [[0, 1, 2], [3, 4, 5]]),\n"
+            "    lambda: certify_regular(PartitionsAction(2, 3), g, [[1, 2], [3, 4], [5, 5]], 4),\n"
+            "    lambda: certify_regular(PartitionsAction(2, 3), g, [[1, 2, 3], [4, 5, 6]], 4),\n"
+            "    lambda: certify_regular(\n"
+            "        KSetsAction(5, 2), parse_cycles('(1 2 3 4 5)', 5), (3, 3), 5\n"
+            "    ),\n"
             "    lambda: confirmed_order(Matrix.from_rows(field_ops(5), [[1, 1], [0, 1]]), 4),\n"
             "]\n"
             "for i, case in enumerate(cases):\n"
