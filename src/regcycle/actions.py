@@ -32,7 +32,8 @@ the pointer-doubling kernel of `permcore`; nothing here walks an orbit.
 `element_order` is the order of g itself, which a kernel of the action may
 divide down on the points. It first runs the action's `_check`, which
 raises ValueError for an element of the wrong shape: the wrong degree on
-the natural, k-set and partition actions. The diagonal action reads the
+the natural, k-set, partition and coset actions. `induced_images` runs the
+same check before it builds anything. The diagonal action reads the
 order from the element's slot permutation and coordinate maps, without
 building its image array.
 
@@ -126,6 +127,7 @@ class Action:
         return self.point(idx)
 
     def induced_images(self, g) -> Sequence[int]:
+        self._check(g)
         return [self.move(g, i) for i in range(self.size)]
 
     def compose(self, g, h):
@@ -138,7 +140,7 @@ class Action:
 
 
 def _check_degree(action, g: Permutation) -> None:
-    """The `_check` of the actions of Sym(degree) on sets built from {1..degree}."""
+    """The `_check` of the actions whose elements permute {1..degree}."""
     if g.degree != action.degree:
         raise ValueError(
             f"element has degree {g.degree}, action {action.name} has degree {action.degree}"
@@ -161,6 +163,7 @@ class NaturalAction(Action):
         return g.images[idx]
 
     def induced_images(self, g: Permutation) -> Sequence[int]:
+        self._check(g)
         return list(g.images)
 
     def point(self, idx: int) -> int:
@@ -239,6 +242,7 @@ class KSetsAction(Action):
         return tuple(out)
 
     def induced_images(self, g: Permutation) -> np.ndarray:
+        self._check(g)
         if self._combos is None:
             n, k = self.degree, self.k
             self._combos = _colex_combinations(n, k)
@@ -398,6 +402,7 @@ class PartitionsAction(Action):
         return self._key_order[np.searchsorted(self._sorted_keys, keys)]
 
     def induced_images(self, g: Permutation) -> np.ndarray:
+        self._check(g)
         self._materialize()
         weights = self._weights[np.asarray(g.images)]
         return self._index_of_keys(self._keys(weights, self._enum))
@@ -664,8 +669,10 @@ class CosetsAction(Action):
     """A group acting on the right cosets of a subgroup by right translation.
 
     Coset i is represented by its minimal element; representatives are listed
-    in increasing order.
+    in increasing order. `degree` is the degree of the group's permutations.
     """
+
+    _check = _check_degree
 
     def __init__(
         self,
@@ -677,6 +684,7 @@ class CosetsAction(Action):
             raise ValueError("subgroup elements must all lie in the group")
         self.group = group
         self.subgroup = subgroup
+        self.degree = group.degree
         reps: list[Permutation] = []
         coset_of: dict[Permutation, int] = {}
         for g in group.elements:

@@ -3,7 +3,7 @@
 Output on stdout is machine-readable (JSON or TSV) and byte-identical for a
 fixed seed and configuration; progress summaries go to stderr. Exit codes:
 0 success, 1 assertion or suite failure, 2 usage or parse error, 3 resource
-cap exceeded.
+cap exceeded, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -58,6 +59,7 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class SpecError(ValueError):
@@ -553,7 +555,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"regcycle: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args, config)
+        code = _COMMANDS[args.command](args, config)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early. Python flushes stdout once more at
+        # exit, so stdout is pointed at devnull to keep that flush quiet, as
+        # the SIGPIPE note of the signal module docs does.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except SpecError as exc:
         print(f"regcycle: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -78,6 +78,8 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         # Apply self first, then other.
         oi = other.images
+        if len(oi) != len(self.images):
+            raise ValueError(f"degrees {len(self.images)} and {len(oi)} differ")
         return Permutation._raw(tuple(oi[v] for v in self.images))
 
     def inverse(self) -> "Permutation":

@@ -17,6 +17,13 @@ small enough to list, then the cycle-type rule on k-sets and the constructive
 witness on uniform partitions, which are bounded at any size. An action that
 no row answers raises DomainCapError.
 
+The k-set row, `_kset_combinatorial`, is the one place a regular k-set is
+built. It takes g's cycle list once, decides s <= min(k, m - k) once with
+`kset_decide` (s the fewest cycles whose lengths have lcm |g|), builds the
+witness on that smaller side from the same list, complements it when
+k > m/2, and certifies the k-set it returns. `kset_witness` is a thin entry
+over that row.
+
 Point values in results are external (1-based or field codes, matching the
 owning action); all internal work is 0-based.
 """
@@ -49,7 +56,7 @@ from .actions import (
     orbit_lengths,
     power_images,
 )
-from .gfalgebra import AffineMap, Matrix, SemilinearMap, matrix_rank
+from .gfalgebra import AffineMap, Matrix, matrix_rank
 from .groups import GeneratedGroup, all_permutations
 from .permcore import (
     CycleType,
@@ -91,8 +98,6 @@ def render_element(g) -> str:
     """Canonical one-line text form of a group element, for reports."""
     if isinstance(g, Permutation):
         return render_cycles(g)
-    if isinstance(g, CycleType):
-        return "type:[" + ",".join(str(v) for v in g.parts) + "]"
     if isinstance(g, WreathElement):
         comps = "|".join(render_cycles(c) for c in g.components)
         return f"{comps}@{render_cycles(g.top)}"
@@ -102,9 +107,6 @@ def render_element(g) -> str:
         lin = ",".join(str(v) for v in g.linear.entries)
         tra = ",".join(str(v) for v in g.translation)
         return f"{lin}+{tra}"
-    if isinstance(g, SemilinearMap):
-        lin = ",".join(str(v) for v in g.matrix.entries)
-        return f"{lin}^frob{g.frobenius_power}"
     if isinstance(g, DiagonalElement):
         m = ",".join(str(i + 1) for i in g.m)
         return f"sigma={render_cycles(g.sigma)};phi={g.phi + 1};m={m}"
@@ -371,55 +373,68 @@ def kset_decide(ct: CycleType, k: int) -> KSetDecision:
     )
 
 
-def kset_witness(g: Permutation, k: int) -> tuple[int, ...]:
-    """Construct a certified regular k-set for g, 1 <= k <= m/2.
+def _kset_combinatorial(action: KSetsAction, g: Permutation) -> Verdict:
+    """The k-set row of `decide`, and the one construction of a regular k-set.
 
-    Uses the minimal lcm-cover cycles (first cycle of each chosen length in
-    g's cycle list). When k fits strictly inside the chosen cycles, the
-    witness is a union of consecutive runs (in cycle order) of sizes x_i
-    with 1 <= x_i < len_i; a run of length x_i < len_i cannot map into
-    itself under any nontrivial power, so the set's period is lcm of the
-    chosen lengths. Otherwise the witness takes all but one point of each
-    chosen cycle plus the smallest points off their supports.
-    Raises ValueError when no regular k-set exists.
+    g's cycle list is taken once, and the cycle-type rule is decided once,
+    on the smaller side j = min(k, m - k). The witness is built there from
+    the minimal lcm-cover cycles, the first cycle of each chosen length in
+    the list. When j fits strictly inside the chosen cycles, it is a union
+    of consecutive runs (in cycle order) of sizes x_i with 1 <= x_i < len_i;
+    a run of length x_i < len_i cannot map into itself under any nontrivial
+    power, so the set's period is the lcm of the chosen lengths. Otherwise
+    it takes all but one point of each chosen cycle plus the smallest points
+    off their supports. When j < k the j-set is complemented, a
+    g-equivariant bijection of j-sets onto (m-j)-sets, so orbit lengths
+    carry over. The k-set the verdict prints is the one certified.
     """
+    action._check(g)
     cycles = g.cycles(include_fixed=True)
     ct = CycleType.of(len(cyc) for cyc in cycles)
-    m = ct.degree
-    decision = kset_decide(ct, k)
-    if not decision.has_regular_cycle:
-        raise ValueError(
-            f"no regular cycle on {k}-sets for cycle type {list(ct.parts)}"
-        )
-    chosen = _first_cycles(cycles, decision.chosen_lengths)
-    s = decision.min_cover_s
-    ell = sum(decision.chosen_lengths)
-    picked: list[int] = []
-    if decision.case_tag == CASE_CONSECUTIVE_RUNS:
-        sizes = [1] * s
-        rem = k - s
-        for i in range(s):
-            extra = min(rem, len(chosen[i]) - 1 - sizes[i])
-            sizes[i] += extra
-            rem -= extra
-        assert rem == 0
-        for cyc, x in zip(chosen, sizes):
-            picked.extend(cyc[:x])
-    else:
-        for cyc in chosen:
-            picked.extend(cyc[: len(cyc) - 1])
-        support = {v for cyc in chosen for v in cyc}
-        pad = k - (ell - s)
-        for v in range(m):
-            if pad == 0:
-                break
-            if v not in support:
-                picked.append(v)
-                pad -= 1
-        assert pad == 0
-    witness = tuple(sorted(v + 1 for v in picked))
-    certify_regular(KSetsAction(m, k), g, witness, ct.order)
-    return witness
+    m = action.degree
+    j = min(action.k, m - action.k)
+    decision = kset_decide(ct, j)
+    witness = None
+    flags: tuple[str, ...] = ("cycle_type_decision",)
+    if decision.has_regular_cycle:
+        chosen = _first_cycles(cycles, decision.chosen_lengths)
+        s = decision.min_cover_s
+        picked: list[int] = []
+        if decision.case_tag == CASE_CONSECUTIVE_RUNS:
+            rem = j - s
+            for cyc in chosen:
+                extra = min(rem, len(cyc) - 2)
+                picked.extend(cyc[: 1 + extra])
+                rem -= extra
+        else:
+            for cyc in chosen:
+                picked.extend(cyc[:-1])
+            support = {v for cyc in chosen for v in cyc}
+            picked += [v for v in range(m) if v not in support][: j - len(picked)]
+        assert len(picked) == j
+        if j < action.k:
+            inside = set(picked)
+            witness = [v + 1 for v in range(m) if v not in inside]
+            flags += ("complement_dual",)
+        else:
+            witness = sorted(v + 1 for v in picked)
+        certify_regular(action, g, witness, ct.order)
+    return _verdict(
+        action, g, "kset_combinatorial", ct.order, ct.order,
+        decision.has_regular_cycle, witness, flags,
+    )
+
+
+def kset_witness(g: Permutation, k: int) -> tuple[int, ...]:
+    """The certified regular k-set of the `kset_combinatorial` row, 1 <= k < m.
+
+    For k > m/2 it is the complement of the (m-k)-set witness. Raises
+    ValueError when no regular k-set exists.
+    """
+    verdict = _kset_combinatorial(KSetsAction(g.degree, k), g)
+    if not verdict.has_regular_cycle:
+        raise ValueError(f"no regular cycle on {k}-sets for {verdict.element_text}")
+    return tuple(verdict.witness)
 
 
 @dataclass(frozen=True)
@@ -440,10 +455,11 @@ class KSetScanReport:
 def ksets_theorem_scan(m: int, k: int) -> KSetScanReport:
     """Scan every cycle type of degree m for regularity on k-sets.
 
-    Requires m >= 2k. Asserts the expected threshold law: failures exist
-    iff m is at least the sum of the first k+1 primes (the first k+1 prime
-    lengths then need k+1 cycles to realize the lcm, and any k-set meets
-    one cycle in a full or empty slice by pigeonhole).
+    Requires m >= 2k. Checks the expected threshold law, and raises
+    AssertionError when it fails: failures exist iff m is at least the sum
+    of the first k+1 primes (the first k+1 prime lengths then need k+1
+    cycles to realize the lcm, and any k-set meets one cycle in a full or
+    empty slice by pigeonhole).
     """
     if m < 2 * k:
         raise ValueError(f"need m >= 2k (got m={m}, k={k})")
@@ -462,10 +478,12 @@ def ksets_theorem_scan(m: int, k: int) -> KSetScanReport:
         types_scanned=count,
         failing_types=tuple(failing),
     )
-    assert report.all_regular == (m < threshold), (
-        f"threshold law violated at m={m}, k={k}: "
-        f"failures={len(failing)}, threshold={threshold}"
-    )
+    # Raised explicitly, so that the law is also checked under python -O.
+    if report.all_regular != (m < threshold):
+        raise AssertionError(
+            f"threshold law violated at m={m}, k={k}: "
+            f"failures={len(failing)}, threshold={threshold}"
+        )
     return report
 
 
@@ -968,36 +986,6 @@ def diagonal_fpr_audit(
 
 
 FIX_UNION_FACTOR = 4
-
-
-def _kset_combinatorial(action: KSetsAction, g: Permutation) -> Verdict:
-    """Cycle-type decision on k-sets, with a witness built on the smaller
-    side k <= m/2 and complemented back when action.k > m/2."""
-    order = action.element_order(g)
-    k = min(action.k, action.degree - action.k)
-    decision = kset_decide(g.cycle_type(), k)
-    witness = None
-    flags: tuple[str, ...] = ("cycle_type_decision",)
-    if decision.has_regular_cycle:
-        small = kset_witness(g, k)
-        if action.k == k:
-            witness = list(small)
-        else:
-            # Complementation is a g-equivariant bijection of k-sets
-            # onto (m-k)-sets, so orbit lengths carry over.
-            inside = set(small)
-            witness = [v for v in range(1, action.degree + 1) if v not in inside]
-            flags = flags + ("complement_dual",)
-    return _verdict(
-        action,
-        g,
-        "kset_combinatorial",
-        order,
-        order,
-        decision.has_regular_cycle,
-        witness,
-        flags,
-    )
 
 
 def _constructive_proof(action: PartitionsAction, g: Permutation) -> Verdict:

@@ -791,22 +791,16 @@ class ScanRow:
 
 def scan_ksets(m: int, k: int) -> list[ScanRow]:
     """Cycle types of degree m with no regular cycle on k-sets, in reverse
-    lexicographic order of their parts."""
+    lexicographic order of their parts: the failing types of
+    `ksets_theorem_scan` on the smaller side min(k, m - k), which also
+    checks the threshold law."""
     kk = min(k, m - k)
     if kk < 1:
         raise ValueError(f"k={k} leaves no room at degree {m}")
     rows = []
-    for ct in cycle_types(m):
-        decision = kset_decide(ct, kk)
-        if not decision.has_regular_cycle:
-            rows.append(
-                ScanRow(
-                    parts=ct.parts,
-                    order=ct.order,
-                    covering_size=decision.min_cover_s,
-                    note=f"needs {decision.min_cover_s} cycles, k={kk}",
-                )
-            )
+    for ct in ksets_theorem_scan(m, kk).failing_types:
+        s = min_cover(ct.parts)[0]
+        rows.append(ScanRow(ct.parts, ct.order, s, f"needs {s} cycles, k={kk}"))
     return rows
 
 

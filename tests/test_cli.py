@@ -359,6 +359,23 @@ class TestScan:
         assert all(row.startswith("17\t") for row in rows)
         assert rows[0].split("\t")[2] == "[7,5,3,2]"
 
+    def test_closed_stdout_exits_141(self):
+        # The reader takes the header and closes the pipe, as `| head -1`
+        # does; the rest of the scan is far more than a pipe buffer holds.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "regcycle", "scan", "--action", "ksets:2",
+             "--m", "4..30", "--output", "tsv"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.readline() == "m\taction\ttype\torder\tcover\tnote\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == 141
+        assert "Traceback" not in err and "BrokenPipeError" not in err
+
     def test_partitions_empty(self):
         proc = run_cli("scan", "--action", "partitions:2x3", "--m", "6")
         assert proc.returncode == 0, proc.stderr

@@ -68,6 +68,10 @@ class TestPermutation:
         # 1 -> 2 under p, 2 -> 3 under q.
         assert pq.images[0] == 2
 
+    def test_composition_refuses_mixed_degrees(self):
+        with pytest.raises(ValueError, match="degrees 4 and 5 differ"):
+            parse_cycles("(1 2)", 4) * parse_cycles("(4 5)", 5)
+
     def test_inverse_and_pow(self):
         p = parse_cycles("(1 2 3 4 5)(6 7)", 8)
         assert (p * p.inverse()).is_identity()

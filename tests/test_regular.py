@@ -546,6 +546,67 @@ class TestKSetWitness:
         w = kset_witness(g, k)
         assert kset_orbit_length(g, w) == g.order()
 
+    def test_above_half_is_the_complement(self):
+        for m in range(3, 10):
+            for ct in cycle_types(m):
+                g = canonical_of_type(ct.parts)
+                for k in range(m // 2 + 1, m):
+                    if not kset_decide(ct, m - k).has_regular_cycle:
+                        with pytest.raises(ValueError):
+                            kset_witness(g, k)
+                        continue
+                    small = set(kset_witness(g, m - k))
+                    w = kset_witness(g, k)
+                    assert w == tuple(v for v in range(1, m + 1) if v not in small)
+                    assert kset_orbit_length(g, w) == ct.order, (ct.parts, k)
+
+
+class TestKSetRow:
+    """The kset_combinatorial row walks g once besides rendering it, decides
+    once, and certifies the k-set it prints."""
+
+    G = parse_cycles("(1 2 3 4 5)(6 7 8)(9 10)(11 12 13 14 15 16 17)", 100)
+
+    @pytest.mark.parametrize("k", [9, 91])
+    def test_one_walk_and_one_decision(self, monkeypatch, k):
+        import regcycle.permcore as permcore
+        import regcycle.regular as regular
+
+        walk, decide_once = permcore.orbit_partition, regular.kset_decide
+        calls = {"walk": 0, "decide": 0}
+
+        def counted_walk(images):
+            calls["walk"] += 1
+            return walk(images)
+
+        def counted_decide(ct, j):
+            calls["decide"] += 1
+            return decide_once(ct, j)
+
+        monkeypatch.setattr(permcore, "orbit_partition", counted_walk)
+        monkeypatch.setattr(regular, "kset_decide", counted_decide)
+        verdict = decide(KSetsAction(100, k), self.G)
+        assert verdict.method == "kset_combinatorial" and verdict.has_regular_cycle
+        # One cycle list, and render_element for the verdict's text.
+        assert calls == {"walk": 2, "decide": 1}
+
+    def test_certifies_the_printed_set(self, monkeypatch):
+        import regcycle.regular as regular
+
+        certify = regular.certify_regular
+        seen = []
+
+        def recorded(action, g, pt, order):
+            seen.append((action.name, tuple(pt), order))
+            return certify(action, g, pt, order)
+
+        monkeypatch.setattr(regular, "certify_regular", recorded)
+        verdict = decide(KSetsAction(100, 91), self.G)
+        assert "complement_dual" in verdict.flags
+        assert len(verdict.witness) == 91
+        assert seen == [("ksets:100:91", tuple(verdict.witness), 210)]
+        assert kset_orbit_length(self.G, tuple(verdict.witness)) == 210
+
 
 class TestKSetsTheoremScan:
     def test_threshold_values(self):
@@ -880,7 +941,8 @@ class TestChecksUnderOptimize:
             "from regcycle.actions import KSetsAction, NaturalAction, PartitionsAction\n"
             "from regcycle.gfalgebra import Matrix, field_ops\n"
             "from regcycle.permcore import parse_cycles\n"
-            "from regcycle.regular import certify_regular, confirmed_order\n"
+            "from regcycle import regular\n"
+            "from regcycle.regular import certify_regular, confirmed_order, ksets_theorem_scan\n"
             "if sys.flags.optimize < 1:\n"
             "    sys.exit('not running under -O')\n"
             "g = parse_cycles('(1 2 3 4)(5 6)', 6)\n"
@@ -892,6 +954,8 @@ class TestChecksUnderOptimize:
             "        KSetsAction(5, 2), parse_cycles('(1 2 3 4 5)', 5), (3, 3), 5\n"
             "    ),\n"
             "    lambda: confirmed_order(Matrix.from_rows(field_ops(5), [[1, 1], [0, 1]]), 4),\n"
+            "    # A threshold that the scan's failures contradict.\n"
+            "    lambda: (setattr(regular, 'nk_threshold', lambda k: 100), ksets_theorem_scan(5, 1)),\n"
             "]\n"
             "for i, case in enumerate(cases):\n"
             "    try:\n"
@@ -1004,17 +1068,30 @@ class TestDiagonalElements:
 # Automatic method selection
 
 
+def induced_images(action, g):
+    return action.induced_images(g)
+
+
 class TestWrongDegree:
-    """A permutation of another degree is refused, never decided."""
+    """A permutation of another degree is refused, never decided or listed."""
 
     SEVEN_CYCLE = parse_cycles("(1 2 3 4 5 6 7)", 7)
+    NINE_CYCLE = parse_cycles("(1 2 3 4 5 6 7 8 9)", 9)
 
     @pytest.mark.parametrize(
         "action",
-        [NaturalAction(5), KSetsAction(5, 2), PartitionsAction(2, 3)],
-        ids=["natural", "ksets", "partitions"],
+        [
+            NaturalAction(5),
+            KSetsAction(5, 2),
+            PartitionsAction(2, 3),
+            CosetsAction(symmetric_group(4), alternating_group(4)),
+            CosetsAction(closure([NINE_CYCLE]), closure([NINE_CYCLE**3])),
+        ],
+        ids=["natural", "ksets", "partitions", "cosets-smaller", "cosets-larger"],
     )
-    @pytest.mark.parametrize("decider", [decide_bruteforce, decide_fix_union, decide])
+    @pytest.mark.parametrize(
+        "decider", [decide_bruteforce, decide_fix_union, decide, induced_images]
+    )
     def test_deciders_raise(self, action, decider):
         with pytest.raises(ValueError, match=r"element has degree 7, action .* has degree"):
             decider(action, self.SEVEN_CYCLE)

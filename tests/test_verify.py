@@ -7,10 +7,12 @@ the acceptance test module.
 import pytest
 
 from regcycle.actions import DiagonalAction
-from regcycle.regular import DomainCapError
+from regcycle.permcore import cycle_types
+from regcycle.regular import DomainCapError, kset_decide
 from regcycle.verify import (
     RunConfig,
     SUITES,
+    ScanRow,
     SuiteLine,
     SuiteReport,
     ksets_oracle_price,
@@ -263,6 +265,35 @@ class TestScans:
         ]
         with pytest.raises(ValueError):
             scan_ksets(10, 10)
+
+    def test_ksets_match_the_per_type_loop(self):
+        def reference(m, k):
+            # The per-type loop that scan_ksets ran before it read the
+            # failing types of ksets_theorem_scan.
+            kk = min(k, m - k)
+            if kk < 1:
+                raise ValueError(f"k={k} leaves no room at degree {m}")
+            rows = []
+            for ct in cycle_types(m):
+                decision = kset_decide(ct, kk)
+                if not decision.has_regular_cycle:
+                    rows.append(
+                        ScanRow(
+                            parts=ct.parts,
+                            order=ct.order,
+                            covering_size=decision.min_cover_s,
+                            note=f"needs {decision.min_cover_s} cycles, k={kk}",
+                        )
+                    )
+            return rows
+
+        for m in range(2, 25):
+            for k in range(1, 5):
+                if min(k, m - k) < 1:
+                    with pytest.raises(ValueError):
+                        scan_ksets(m, k)
+                    continue
+                assert scan_ksets(m, k) == reference(m, k), (m, k)
 
     def test_ksets_reverse_lex_order(self):
         rows = scan_ksets(12, 2)
