@@ -69,7 +69,6 @@ from .regular import (
     ksets_theorem_scan,
     partition_witness,
     product_witness,
-    render_element,
     wreath_fpr_max,
 )
 from .verify import (
@@ -172,7 +171,6 @@ __all__ = [
     "psl2",
     "realize_diagonal_group",
     "render_cycles",
-    "render_element",
     "robin_check",
     "robin_sweep",
     "run_suite",

@@ -32,7 +32,9 @@ the pointer-doubling kernel of `permcore`; nothing here walks an orbit.
 `element_order` is the order of g itself, which a kernel of the action may
 divide down on the points. It first runs the action's `_check`, which
 raises ValueError for an element of the wrong shape: the wrong degree on
-the natural, k-set, partition and coset actions. `induced_images` runs the
+the natural, k-set, partition and coset actions, and on the diagonal action
+also an automorphism or translation index out of range, which numpy would
+otherwise wrap or fail on. `induced_images` runs the
 same check before it builds anything. The diagonal action reads the
 order from the element's slot permutation and coordinate maps, without
 building its image array.
@@ -49,7 +51,7 @@ import numpy as np
 
 from .gfalgebra import AffineMap, Matrix, field_ops
 from .groups import DEFAULT_GROUP_CAP, AmbientAutomorphisms, GeneratedGroup, closure
-from .permcore import Permutation, orbit_labels, render_cycles
+from .permcore import Permutation, orbit_labels, power, render_cycles
 
 
 def orbit_lengths(images: Sequence[int]) -> list[int]:
@@ -68,18 +70,12 @@ def fixed_count(images: Sequence[int]) -> int:
 
 
 def power_images(images: Sequence[int], exponent: int) -> Sequence[int]:
-    """Image array of the exponent-th power, by square and multiply."""
-    if exponent < 0:
-        raise ValueError("exponent must be nonnegative")
+    """Image array of the exponent-th power, by `permcore.power` with arrays
+    composed by indexing: "a, then b" is b[a]. A negative exponent raises
+    ValueError."""
     base = np.asarray(images, dtype=np.int64)
-    acc = np.arange(len(base), dtype=np.int64)
-    e = exponent
-    while e:
-        if e & 1:
-            acc = base[acc]
-        base = base[base]
-        e >>= 1
-    return acc
+    identity = np.arange(len(base), dtype=np.int64)
+    return power(base, exponent, identity, lambda a, b: b[a])
 
 
 class Action:
@@ -493,14 +489,7 @@ class WreathElement:
     def __pow__(self, e: int) -> "WreathElement":
         if e < 0:
             return self.inverse() ** (-e)
-        acc = WreathElement.identity(self.base_degree, self.copies)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return power(self, e, WreathElement.identity(self.base_degree, self.copies))
 
     def is_identity(self) -> bool:
         return self.top.is_identity() and all(c.is_identity() for c in self.components)
@@ -528,8 +517,12 @@ class WreathElement:
         return hash((self.components, self.top))
 
     def __repr__(self) -> str:
+        return f"WreathElement({self})"
+
+    def __str__(self) -> str:
+        """``<components>@<top>``, components joined by |: the CLI's form."""
         comps = "|".join(render_cycles(c) for c in self.components)
-        return f"WreathElement({comps} @ {render_cycles(self.top)})"
+        return f"{comps}@{render_cycles(self.top)}"
 
 
 class TupleAction(Action):
@@ -816,6 +809,11 @@ class DiagonalElement:
     def __repr__(self) -> str:
         return f"DiagonalElement({render_cycles(self.sigma)}, phi={self.phi}, m={self.m})"
 
+    def __str__(self) -> str:
+        """``sigma=<cycles>;phi=<i>;m=<j,...>``, phi and m 1-based: the CLI's form."""
+        m = ",".join(str(i + 1) for i in self.m)
+        return f"sigma={render_cycles(self.sigma)};phi={self.phi + 1};m={m}"
+
 
 class DiagonalAction(TupleAction):
     """Action on copies-tuples of target group elements, as diagonal cosets.
@@ -837,6 +835,11 @@ class DiagonalAction(TupleAction):
     def _check(self, g: DiagonalElement) -> None:
         if g.sigma.degree != self.copies + 1:
             raise ValueError("element shape does not match the action")
+        n_amb, n = len(self.data.aut), self.data.order
+        if not 0 <= g.phi < n_amb:
+            raise ValueError(f"phi {g.phi} is outside 0..{n_amb - 1}")
+        if any(not 0 <= t < n for t in g.m):
+            raise ValueError(f"m {g.m} has an entry outside 0..{n - 1}")
 
     def element_order(self, g: DiagonalElement) -> int:
         """The order of g, read from its structure, never from the image

@@ -31,6 +31,7 @@ from .actions import (
 )
 from .gfalgebra import AffineMap, Matrix, field_ops
 from .groups import (
+    DEFAULT_GROUP_CAP,
     AmbientAutomorphisms,
     ClosureCapError,
     GeneratedGroup,
@@ -312,15 +313,26 @@ def _build_action(text: str, ctx: GroupContext):
     raise SpecError(f"action {text!r} does not apply to group {ctx.spec!r}")
 
 
+def _price_closure(kind: str, n: int) -> None:
+    """Raise ClosureCapError, before any closure, when |Sym(n)| = n! or
+    |Alt(n)| = n!/2 passes DEFAULT_GROUP_CAP. Priced degree by degree, as in
+    `_price_diagonal_tables`, so a huge n stops at the first k past the cap."""
+    order = 1
+    for k in range(2, n + 1):
+        order *= k
+        size = order // 2 if kind == "alt" else order
+        if size > DEFAULT_GROUP_CAP:
+            raise ClosureCapError(DEFAULT_GROUP_CAP, size)
+
+
 def _materialized(ctx: GroupContext) -> GeneratedGroup:
     if ctx.group is not None:
         return ctx.group
-    if ctx.kind == "sym":
-        ctx.group = symmetric_group(ctx.degree)
-    elif ctx.kind == "alt":
-        ctx.group = alternating_group(ctx.degree)
-    else:
+    if ctx.kind not in ("sym", "alt"):
         raise SpecError(f"group {ctx.spec!r} has no coset machinery")
+    _price_closure(ctx.kind, ctx.degree)
+    builder = symmetric_group if ctx.kind == "sym" else alternating_group
+    ctx.group = builder(ctx.degree)
     return ctx.group
 
 

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .permcore import Permutation, factorize
+from .permcore import Permutation, factorize, power
 
 SUPPORTED_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 
@@ -86,7 +86,7 @@ class Field:
         inv = [0] * q
         for a in range(1, q):
             inv[a] = mul[a].index(1)
-        frob = [mul[a][a] if p == 2 else self._power(a, p, mul) for a in range(q)]
+        frob = [power(a, p, 1, lambda x, y: mul[x][y]) for a in range(q)]
         self.spec = spec
         self.q = q
         self.p = p
@@ -99,13 +99,6 @@ class Field:
         self._neg = neg
         self._inv = inv
         self._frob = frob
-
-    @staticmethod
-    def _power(a: int, n: int, mul: list[list[int]]) -> int:
-        r = 1
-        for _ in range(n):
-            r = mul[r][a]
-        return r
 
     @staticmethod
     def _polymul(da: Sequence[int], db: Sequence[int], spec: FieldSpec) -> list[int]:
@@ -136,9 +129,6 @@ class Field:
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
-
-    def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
 
     def neg(self, a: int) -> int:
         return self._neg[a]
@@ -179,9 +169,8 @@ def field_ops(q: int) -> Field:
         raise ValueError("unsupported field order %d" % q)
     f = factorize(q)
     p, e = f.prime_powers[0]
-    modulus = _MODULI.get(q, (1,) * 1 if e == 1 else None)
-    if e == 1:
-        modulus = (0, 1)  # the polynomial x, unused for prime fields
+    # The polynomial x stands in for the modulus of a prime field, unused.
+    modulus = _MODULI[q] if e > 1 else (0, 1)
     spec = FieldSpec(p, e, modulus)
     return Field(spec)
 
@@ -306,15 +295,7 @@ class Matrix:
     def __pow__(self, n: int) -> "Matrix":
         if n < 0:
             return self.inverse() ** (-n)
-        result = Matrix.identity(self.field, self.rows)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, Matrix.identity(self.field, self.rows))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -330,6 +311,10 @@ class Matrix:
 
     def __repr__(self) -> str:
         return "Matrix(q=%d, %s)" % (self.field.q, [list(self.row(i)) for i in range(self.rows)])
+
+    def __str__(self) -> str:
+        """The entries, row major, joined by commas: the CLI's matrix form."""
+        return ",".join(str(v) for v in self.entries)
 
 
 def matrix_rank(field: Field, vectors: Iterable[Sequence[int]]) -> int:
@@ -423,6 +408,10 @@ class AffineMap:
 
     def order(self) -> int:
         return self.embed().order()
+
+    def __str__(self) -> str:
+        """``<linear entries>+<translation>``: the CLI's affine map form."""
+        return f"{self.linear}+{','.join(str(v) for v in self.translation)}"
 
 
 @dataclass(frozen=True)

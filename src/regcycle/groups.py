@@ -18,10 +18,11 @@ DEFAULT_GROUP_CAP = 5_000_000
 
 
 class ClosureCapError(RuntimeError):
-    """Raised when a closure exceeds the element cap; carries the partial size."""
+    """Raised when a closure exceeds the element cap, or is priced past it
+    before it starts; carries a lower bound on the group order."""
 
     def __init__(self, cap: int, reached: int):
-        super().__init__("group closure exceeded cap %d (reached %d elements)" % (cap, reached))
+        super().__init__("group closure exceeded cap %d (at least %d elements)" % (cap, reached))
         self.cap = cap
         self.reached = reached
 

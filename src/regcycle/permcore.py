@@ -8,6 +8,9 @@ Conventions shared across the package:
   1-indexed;
 * cycle types include fixed points, so the parts of a type sum to the degree.
 
+`power` is the one square-and-multiply: every ``**`` on an element, the
+power of an image array and the Frobenius table of a field go through it.
+
 Orbits of an image array are read two ways. `orbit_partition` walks them,
 in walk order, for cycle notation. `orbit_labels` and `orbit_length_array`
 give each point's orbit minimum and orbit length by numpy pointer doubling,
@@ -17,6 +20,7 @@ for every caller that needs only the sizes.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,6 +29,26 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 SIEVE_LIMIT = 1_000_000
+
+
+def power(x, e: int, one, mul=operator.mul):
+    """x to the e-th power, e >= 0, by right-to-left binary square and
+    multiply (Knuth, TAOCP Vol. 2, section 4.6.3).
+
+    `one` is the identity and `mul(a, b)` the product "a, then b". The
+    squaring after the last bit is skipped, so the cost is
+    bit_length(e) - 1 squarings and popcount(e) multiplications.
+    """
+    if e < 0:
+        raise ValueError("exponent must be nonnegative")
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return result
 
 
 class Permutation:
@@ -91,14 +115,7 @@ class Permutation:
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
             return self.inverse() ** (-n)
-        result = Permutation.identity(self.degree)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, Permutation.identity(self.degree))
 
     def conj(self, c: "Permutation") -> "Permutation":
         """Conjugate ``c^-1 * self * c``."""

@@ -24,8 +24,10 @@ witness on that smaller side from the same list, complements it when
 k > m/2, and certifies the k-set it returns. `kset_witness` is a thin entry
 over that row.
 
-Point values in results are external (1-based or field codes, matching the
-owning action); all internal work is 0-based.
+A verdict names g by `str(g)`: every element type prints the form that
+the CLI's `parse_element` reads back. Point values in results are external
+(1-based or field codes, matching the owning action); all internal work is
+0-based.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ from .permcore import (
     nk_threshold,
     orbit_labels,
     orbit_length_array,
-    render_cycles,
 )
 
 METHODS = (
@@ -92,25 +93,6 @@ class DomainCapError(RuntimeError):
         super().__init__(f"{subject} has {size} points, cap is {cap}")
         self.size = size
         self.cap = cap
-
-
-def render_element(g) -> str:
-    """Canonical one-line text form of a group element, for reports."""
-    if isinstance(g, Permutation):
-        return render_cycles(g)
-    if isinstance(g, WreathElement):
-        comps = "|".join(render_cycles(c) for c in g.components)
-        return f"{comps}@{render_cycles(g.top)}"
-    if isinstance(g, Matrix):
-        return ",".join(str(v) for v in g.entries)
-    if isinstance(g, AffineMap):
-        lin = ",".join(str(v) for v in g.linear.entries)
-        tra = ",".join(str(v) for v in g.translation)
-        return f"{lin}+{tra}"
-    if isinstance(g, DiagonalElement):
-        m = ",".join(str(i + 1) for i in g.m)
-        return f"sigma={render_cycles(g.sigma)};phi={g.phi + 1};m={m}"
-    return str(g)
 
 
 @dataclass(frozen=True)
@@ -167,7 +149,7 @@ def _verdict(
         method=method,
         certified=True,
         flags=flags,
-        element_text=render_element(g),
+        element_text=str(g),
         action_name=action.name,
     )
 
@@ -764,30 +746,22 @@ def gl_regular_vector_set(m: Matrix) -> SpanningSet:
 
 
 def affine_witness(f: AffineMap) -> tuple[int, ...]:
-    """Certified regular vector for an affine map.
+    """Certified regular vector for an affine map: the first vector, in
+    action index order, on a full-length orbit of f's own action.
 
-    Takes the first regular vector with nonzero last coordinate of the
-    embedded (d+1)-dimensional linear action, rescales it so the last
-    coordinate is 1 (orbit lengths are invariant under global scaling,
-    since the embedded matrix commutes with scalars), and reads off the
-    affine part. Indices pack the first coordinate fastest, so those
-    vectors are exactly the indices from q^d on. The order is the lcm of
-    the embedded orbit lengths, confirmed by `confirmed_order` on the
-    embedded matrix, whose order is the map's.
+    The affine action is faithful, so the order of f is the lcm of its
+    orbit lengths, confirmed by `confirmed_order` on the embedded matrix,
+    whose order is the map's. A map with no regular vector raises
+    ValueError.
     """
-    d = f.dimension
-    q = f.field.q
-    big = VectorsAction(d + 1, q)
-    lengths, order = _orbit_lengths_and_order(big, f.embed())
-    offset = q**d
-    found = np.flatnonzero(lengths[offset:] == order)
+    action = AffineVectorsAction(f.dimension, f.field.q)
+    lengths = orbit_length_array(action.induced_images(f))
+    order = confirmed_order(f.embed(), math.lcm(*set(lengths.tolist())))
+    found = np.flatnonzero(lengths == order)
     if found.size == 0:
         raise ValueError("no regular affine vector exists for this map")
-    vec = big.point(int(found[0]) + offset)
-    fld = f.field
-    lam_inv = fld.inv(vec[d])
-    w = tuple(fld.mul(lam_inv, v) for v in vec[:d])
-    certify_regular(AffineVectorsAction(d, q), f, w, order)
+    w = action.point(int(found[0]))
+    certify_regular(action, f, w, order)
     return w
 
 
@@ -913,32 +887,35 @@ def _diagonal_bound(
     return Fraction(1, n_target ** (p - 2))
 
 
+# The most diagonal-type elements `diagonal_fpr_audit` lists exhaustively.
+DIAGONAL_EXHAUSTIVE_CAP = 200000
+
+
 def diagonal_fpr_audit(
     data,
     copies: int,
     min_faithful_degree: int,
     samples: int = 10000,
     seed: int = 0,
-    exhaustive_cap: int = 200000,
 ) -> DiagonalAuditReport:
     """Audit fixed-point ratios of prime-order diagonal-type elements.
 
     One pass over `diagonal_elements`: all of them when there are at most
-    exhaustive_cap, else `samples` seeded draws. Each element's image array
-    is built once, and its orbit lengths give both its induced order and
-    whether it has a regular cycle; elements without one are listed in
-    the report. Each prime-order element is classified by how its slot
-    permutation treats the anchor slot, and the observed maximum ratio per
-    (shape, order) class is compared against that class's stated bound.
-    Identity slot permutations cover the pure inner-holomorph case, where
-    every nonidentity fixed set is a coset of a point stabilizer in each
-    coordinate.
+    DIAGONAL_EXHAUSTIVE_CAP, else `samples` seeded draws. Each element's
+    image array is built once, and its orbit lengths give both its induced
+    order and whether it has a regular cycle; elements without one are
+    listed in the report. Each prime-order element is classified by how
+    its slot permutation treats the anchor slot, and the observed maximum
+    ratio per (shape, order) class is compared against that class's stated
+    bound. Identity slot permutations cover the pure inner-holomorph case,
+    where every nonidentity fixed set is a coset of a point stabilizer in
+    each coordinate.
     """
     action = DiagonalAction(data, copies)
     n_target = data.group.order
     n_amb = len(data.automorphisms.coset_reps)
     total = math.factorial(copies + 1) * n_amb * n_target**copies
-    exhaustive = total <= exhaustive_cap
+    exhaustive = total <= DIAGONAL_EXHAUSTIVE_CAP
 
     stats: dict[tuple[str, int], tuple[Fraction, int]] = {}
     elements_seen = 0

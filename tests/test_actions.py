@@ -43,7 +43,7 @@ from regcycle.groups import (
     symmetric_group,
 )
 from regcycle.permcore import Permutation, orbit_partition, parse_cycles
-from regcycle.regular import decide_bruteforce, decide_fix_union
+from regcycle.regular import decide, decide_bruteforce, decide_fix_union
 
 
 def perm_strategy(n: int):
@@ -845,6 +845,18 @@ class TestDiagonal:
         g = act.translation((Permutation.identity(5), t))
         # Right translation by an order-n element has order n.
         assert act.element_order(g) == t.order()
+
+    @pytest.mark.parametrize("phi, m", [(500, (0,)), (0, (60,)), (-1, (0,)), (0, (-3,))])
+    def test_out_of_range_phi_or_m_refused(self, alt5_data, phi, m):
+        # numpy would fail on 500 and 60, and wrap -1 and -3 silently.
+        from regcycle.actions import DiagonalElement
+
+        act = DiagonalAction(alt5_data, 1)
+        g = DiagonalElement(Permutation.identity(2), phi, m)
+        for entry in (act.element_order, act.induced_images, lambda g: decide(act, g),
+                      lambda g: act.apply_external(g, (1,))):
+            with pytest.raises(ValueError, match="outside"):
+                entry(g)
 
     def test_element_order_is_induced_order_copies1(self, alt5_data):
         act = DiagonalAction(alt5_data, 1)

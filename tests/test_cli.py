@@ -2,8 +2,10 @@
 the README's decide examples through cli.main."""
 
 import contextlib
+import hashlib
 import io
 import json
+import random
 import shlex
 import subprocess
 import sys
@@ -199,6 +201,24 @@ class TestDecide:
         assert proc.stdout == ""
         assert proc.stderr.strip().splitlines() == [f"regcycle: {message}"]
 
+    @pytest.mark.parametrize(
+        "group, reached", [("sym:11", 39916800), ("alt:12", 19958400), ("sym:2000", 39916800)]
+    )
+    def test_coset_group_priced_before_closure(self, group, reached):
+        # Unpriced, Sym(11) is closed until the 5 000 000-element cap stops
+        # it, tens of seconds and over a gigabyte later; sym:2000 runs out of
+        # memory first.
+        start = time.perf_counter()
+        proc = run_cli(
+            "decide", "--group", group, "--element", "(1 2 3)", "--action", "cosets:stab:1"
+        )
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.strip().splitlines() == [
+            f"regcycle: group closure exceeded cap 5000000 (at least {reached} elements)"
+        ]
+
     def test_mismatched_action_exit_2(self):
         proc = run_cli(
             "decide", "--group", "gl:2,3", "--element", "1,0,0,1",
@@ -261,14 +281,88 @@ class TestDecide:
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
+def _generated_elements(ctx, rng):
+    """A few elements of the group a parsed --group value names."""
+    from regcycle.actions import WreathElement
+    from regcycle.gfalgebra import AffineMap
+    from regcycle.groups import alternating_group, gl_elements
+    from regcycle.permcore import Permutation
+    from regcycle.regular import diagonal_elements
+
+    def perm(n):
+        images = list(range(n))
+        rng.shuffle(images)
+        return Permutation(images)
+
+    if ctx.kind == "sym":
+        return [perm(ctx.degree) for _ in range(8)]
+    if ctx.kind == "alt":
+        return rng.sample(alternating_group(ctx.degree).elements, 8)
+    if ctx.kind in ("gl", "agl"):
+        mats = rng.sample(gl_elements(ctx.dim, ctx.q), 8)
+        if ctx.kind == "gl":
+            return mats
+        return [AffineMap(m, tuple(rng.randrange(ctx.q) for _ in range(ctx.dim))) for m in mats]
+    if ctx.kind == "wreath":
+        return [
+            WreathElement([perm(ctx.degree) for _ in range(ctx.copies)], perm(ctx.copies))
+            for _ in range(8)
+        ]
+    if ctx.kind == "diag":
+        return list(diagonal_elements(ctx.data, ctx.copies, samples=8, seed=rng.randrange(1000)))
+    return rng.sample(ctx.group.elements, 8)
+
+
+class TestElementText:
+    @pytest.mark.parametrize(
+        "spec",
+        ["sym:7", "alt:6", "gl:2,4", "agl:2,3", "pgl2:5", "psl2:7", "m10", "pgammal2:9",
+         "wreath:3,2", "diag:5,1", "diag:5,2"],
+    )
+    def test_parse_element_reads_str_back(self, spec):
+        from regcycle.verify import RunConfig
+
+        ctx = cli.parse_group(spec, RunConfig())
+        for g in _generated_elements(ctx, random.Random(spec)):
+            assert cli.parse_element(ctx, str(g)) == g, str(g)
+
+
+# sha256 of each command's TSV stdout at --seed 0: the six fast suites and
+# one scan. A change meant to keep stdout byte-identical keeps these; one
+# meant to change it records them again.
+STDOUT_DIGESTS = {
+    ("verify", "--suite", "ksets"):
+        "e9ad1a701f3e43721d485f56c982597290b870dd42d04e8b0185752793b31fa3",
+    ("verify", "--suite", "product"):
+        "3b1385ac80fb66039035b1504d17f82d62ce9d2b13486176796806b2b493d923",
+    ("verify", "--suite", "gl"):
+        "aa0b3d177c8d5721d17942619a0939054318c2c766cccaee9c5216e642973682",
+    ("verify", "--suite", "affine"):
+        "8f925f9c3609b025ee9c234cfa14c328c90e7cbf1edbed7a8a06f092349e0f54",
+    ("verify", "--suite", "s6-exception"):
+        "bfc9088f8a0168ec18860aede80520ceea2d745439a3020ff7673c56df481ade",
+    ("verify", "--suite", "remark-a6"):
+        "f487404c168866a262ad237d1ba0bcd924511b2f2ca6c4755826705768aaf4f6",
+    ("scan", "--action", "ksets:2", "--m", "4..24"):
+        "d04e3fc091d2f6350d7d79caac4928f1b1ecb88ca304d2371bfcafefeb6d6c87",
+}
+
+
+class TestStdoutDigests:
+    @pytest.mark.parametrize("argv", list(STDOUT_DIGESTS), ids=" ".join)
+    def test_tsv_stdout_is_byte_identical(self, argv, capsys):
+        assert cli.main([*argv, "--seed", "0", "--output", "tsv"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == STDOUT_DIGESTS[argv]
+
+
 def readme_decide_examples() -> list[list[str]]:
     """The arguments after `decide` of each README decide example."""
-    prefix = ["python", "-m", "regcycle", "decide"]
+    # Only example lines are split: prose may hold an unpaired quote.
+    prefix = "python -m regcycle decide "
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     return [
-        argv[len(prefix):]
-        for argv in map(shlex.split, text.splitlines())
-        if argv[: len(prefix)] == prefix
+        shlex.split(line)[4:] for line in text.splitlines() if line.startswith(prefix)
     ]
 
 

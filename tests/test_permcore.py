@@ -24,7 +24,9 @@ from regcycle import (
     primes_upto,
     render_cycles,
 )
-from regcycle.permcore import cycle_type_count, orbit_labels
+from regcycle.actions import WreathElement, power_images
+from regcycle.gfalgebra import Matrix, field_ops
+from regcycle.permcore import cycle_type_count, orbit_labels, power
 
 
 def naive_primes(limit: int) -> list[int]:
@@ -252,3 +254,89 @@ class TestOrbitKernel:
         images = list(range(4097))
         rng.shuffle(images)
         check_orbit_kernel(images)
+
+
+def repeated(x, e, one, mul):
+    """x^e by e multiplications, the oracle for `power`."""
+    acc = one
+    for _ in range(e):
+        acc = mul(acc, x)
+    return acc
+
+
+def power_cases():
+    """(element, identity) for every element type with a ``**``."""
+    wreath = WreathElement(
+        (parse_cycles("(1 2 3)", 3), parse_cycles("(1 2)", 3)), parse_cycles("(1 2)", 2)
+    )
+    gf5, gf4 = field_ops(5), field_ops(4)
+    return [
+        (parse_cycles("(1 2 3 4 5)(6 7)(8 9 10)", 10), Permutation.identity(10)),
+        (parse_cycles("(1 2 3 4 5 6 7 8)", 8), Permutation.identity(8)),
+        (wreath, WreathElement.identity(3, 2)),
+        (Matrix.from_rows(gf5, [[0, 1], [1, 1]]), Matrix.identity(gf5, 2)),
+        (Matrix.from_rows(gf4, [[2, 1], [1, 0]]), Matrix.identity(gf4, 2)),
+    ]
+
+
+class TestPower:
+    @pytest.mark.parametrize("case", range(5))
+    def test_elements_match_repeated_multiplication(self, case):
+        g, one = power_cases()[case]
+        order = g.order()
+        for e in range(2 * order + 2):
+            expected = repeated(g, e, one, lambda a, b: a * b)
+            assert power(g, e, one) == expected, e
+            assert g**e == expected, e
+        assert g**order == one and g ** (order + 1) == g
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_negative_exponent_goes_through_inverse(self, case):
+        g, one = power_cases()[case]
+        inv = g.inverse()
+        assert g**-1 == inv and g**-1 * g == one
+        for e in range(1, 9):
+            assert g**-e == inv**e
+
+    def test_image_arrays(self):
+        rng = random.Random(13)
+        images = list(range(12))
+        rng.shuffle(images)
+        base = np.array(images, dtype=np.int64)
+        order = Permutation(images).order()
+        one = np.arange(12, dtype=np.int64)
+        for e in range(2 * order + 2):
+            expected = repeated(base, e, one, lambda a, b: b[a])
+            assert power(base, e, one, lambda a, b: b[a]).tolist() == expected.tolist()
+            assert np.asarray(power_images(images, e)).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("q", [4, 7, 8, 9])
+    def test_field_elements(self, q):
+        f = field_ops(q)
+        a = f.primitive_element()
+        for e in range(2 * (q - 1) + 2):
+            assert power(a, e, 1, f.mul) == repeated(a, e, 1, f.mul), e
+
+    def test_frobenius_is_the_p_th_power(self):
+        for q in (4, 8, 9):
+            f = field_ops(q)
+            assert [f.frobenius(a) for a in range(q)] == [
+                repeated(a, f.p, 1, f.mul) for a in range(q)
+            ]
+
+    def test_negative_exponent_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            power(3, -1, 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            power_images([1, 0], -2)
+
+    def test_skips_the_last_squaring(self):
+        calls = []
+
+        def mul(a, b):
+            calls.append((a, b))
+            return a + b
+
+        # 10 = 0b1010: three squarings and two multiplications, no more.
+        assert power(1, 10, 0, mul) == 10
+        assert len(calls) == 5

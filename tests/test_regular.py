@@ -22,6 +22,7 @@ from regcycle.actions import (
     AffineVectorsAction,
     CosetsAction,
     DiagonalAction,
+    DiagonalElement,
     DiagonalGroupData,
     KSetsAction,
     NaturalAction,
@@ -75,7 +76,6 @@ from regcycle.regular import (
     min_cover,
     partition_witness,
     product_witness,
-    render_element,
     wreath_fpr_max,
 )
 
@@ -197,26 +197,36 @@ class TestVerdict:
             Verdict(2, 4, True, None, "bruteforce", True)
 
 class TestRenderElement:
+    """str(g) is the verdict's element text, for every element type."""
+
     def test_permutation(self):
-        assert render_element(parse_cycles("(1 2)", 4)) == "(1 2)"
-        assert render_element(Permutation.identity(3)) == "()"
+        assert str(parse_cycles("(1 2)", 4)) == "(1 2)"
+        assert str(Permutation.identity(3)) == "()"
 
     def test_wreath(self):
         g = WreathElement(
             (parse_cycles("(1 2)", 3), Permutation.identity(3)),
             parse_cycles("(1 2)", 2),
         )
-        assert render_element(g) == "(1 2)|()@(1 2)"
+        assert str(g) == "(1 2)|()@(1 2)"
 
     def test_matrix(self):
         f = field_ops(3)
         m = Matrix.from_rows(f, [[1, 1], [0, 1]])
-        assert render_element(m) == "1,1,0,1"
+        assert str(m) == "1,1,0,1"
 
     def test_affine(self):
         f = field_ops(3)
         a = AffineMap(Matrix.from_rows(f, [[1]]), (2,))
-        assert render_element(a) == "1+2"
+        assert str(a) == "1+2"
+
+    def test_diagonal(self):
+        g = DiagonalElement(parse_cycles("(1 2)", 3), 1, (6, 0))
+        assert str(g) == "sigma=(1 2);phi=2;m=7,1"
+
+    def test_verdict_element_text(self):
+        g = parse_cycles("(1 2 3)", 4)
+        assert decide(NaturalAction(4), g).element_text == "(1 2 3)"
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +597,7 @@ class TestKSetRow:
         monkeypatch.setattr(regular, "kset_decide", counted_decide)
         verdict = decide(KSetsAction(100, k), self.G)
         assert verdict.method == "kset_combinatorial" and verdict.has_regular_cycle
-        # One cycle list, and render_element for the verdict's text.
+        # One cycle list, and str(g) for the verdict's text.
         assert calls == {"walk": 2, "decide": 1}
 
     def test_certifies_the_printed_set(self, monkeypatch):
