@@ -2,17 +2,18 @@
 
 Every action here exposes the same small interface. Points are addressed by
 a 0-based internal index; `point` and `index` convert between an index and
-the external point. External representations (tuples, blocks, vectors, coset
-representatives) use 1-based point labels wherever the underlying set is a
-permutation domain; finite field coordinates keep their 0-based element
-codes. An action defines its map once, as `move(g, x)` on its own internal
-point form x: the index on the natural and coset actions, the sorted
-0-based tuple on k-sets, the canonical 0-based blocks on partitions, and
-the 0-based digits on the tuple actions. `internal` checks an external
-point and converts it to that form, raising ValueError for a non-point,
-and `external` converts back. `Action.apply_external` is the one external
-map, and `induced_images` materializes the whole induced map as an image
-array.
+the external point, and `point` raises IndexError for an index outside
+0..size-1, a negative one included. External representations (tuples,
+blocks, vectors, coset representatives) use 1-based point labels wherever
+the underlying set is a permutation domain; finite field coordinates keep
+their 0-based element codes. An action defines its map once, as
+`move(g, x)` on its own internal point form x: the index on the natural
+and coset actions, the sorted 0-based tuple on k-sets, the canonical
+0-based blocks on partitions, and the 0-based digits on the tuple actions.
+`internal` checks an external point and converts it to that form, raising
+ValueError for a non-point, and `external` converts back.
+`Action.apply_external` is the one external map, and `induced_images`
+materializes the whole induced map as an image array.
 
 The product, vector, affine and diagonal actions are `TupleAction`s: their
 points are little-endian digit tuples, and their `move` takes digits that
@@ -135,6 +136,12 @@ class Action:
         return self.external(self.move(g, self.internal(pt)))
 
 
+def _check_index(action, idx: int) -> None:
+    """Raise IndexError for an index outside 0..size-1, which a list would wrap."""
+    if not 0 <= idx < action.size:
+        raise IndexError(idx)
+
+
 def _check_degree(action, g: Permutation) -> None:
     """The `_check` of the actions whose elements permute {1..degree}."""
     if g.degree != action.degree:
@@ -163,8 +170,7 @@ class NaturalAction(Action):
         return list(g.images)
 
     def point(self, idx: int) -> int:
-        if not 0 <= idx < self.size:
-            raise IndexError(idx)
+        _check_index(self, idx)
         return idx + 1
 
     def index(self, pt: int) -> int:
@@ -223,8 +229,7 @@ class KSetsAction(Action):
         self._binom: np.ndarray | None = None
 
     def _unrank(self, idx: int) -> tuple[int, ...]:
-        if not 0 <= idx < self.size:
-            raise IndexError(idx)
+        _check_index(self, idx)
         r = idx
         out = []
         b = self.degree
@@ -425,6 +430,7 @@ class PartitionsAction(Action):
         return canonical_blocks([imgs[v] for v in block] for block in x)
 
     def point(self, idx: int) -> tuple[tuple[int, ...], ...]:
+        _check_index(self, idx)
         self._materialize()
         return self.external(self._enum[idx].tolist())
 
@@ -571,8 +577,7 @@ class TupleAction(Action):
         return tuple([int(v) + self.offset for v in digits])
 
     def point(self, idx: int) -> tuple[int, ...]:
-        if not 0 <= idx < self.size:
-            raise IndexError(idx)
+        _check_index(self, idx)
         return self.external(self._decode(idx))
 
     def index(self, pt: Iterable[int]) -> int:
@@ -701,6 +706,7 @@ class CosetsAction(Action):
         return image
 
     def point(self, idx: int) -> Permutation:
+        _check_index(self, idx)
         return self._reps[idx]
 
     def index(self, pt: Permutation) -> int:
@@ -710,16 +716,16 @@ class CosetsAction(Action):
         return idx
 
     def point_json(self, idx: int) -> str:
-        return render_cycles(self._reps[idx])
+        return render_cycles(self.point(idx))
 
 
 class DiagonalGroupData:
     """Lookup tables for a target group and its ambient automorphisms.
 
     Stores multiplication, inversion, and per-automorphism conjugation as
-    integer tables over element indices, the order of each automorphism,
-    plus a fingerprint map so any ambient element can be resolved to its
-    automorphism representative.
+    integer tables over element indices, and the order of each automorphism.
+    An automorphism index phi is the position of its ambient element in
+    `ambient.elements`, which `AmbientAutomorphisms` makes one-to-one.
     """
 
     def __init__(self, group: GeneratedGroup, automorphisms: AmbientAutomorphisms, label: str):
@@ -743,12 +749,7 @@ class DiagonalGroupData:
         self.inv = inv
         self.aut = aut
         self.aut_order = [images_order(row) for row in aut]
-        self._phi_by_fingerprint = {
-            self._fingerprint(rep): a for a, rep in enumerate(reps)
-        }
-        self.identity_phi = self.phi_index_of(
-            Permutation.identity(group.degree)
-        )
+        self.identity_phi = self.phi_index_of(Permutation.identity(group.degree))
 
     @classmethod
     def build(
@@ -767,26 +768,21 @@ class DiagonalGroupData:
     def order(self) -> int:
         return self.group.order
 
-    def _fingerprint(self, ambient_element: Permutation) -> tuple[int, ...]:
-        return tuple(
-            self.group.index(t.conj(ambient_element)) for t in self.group.generators
-        )
-
     def phi_index_of(self, ambient_element: Permutation) -> int:
-        """Representative index of the automorphism an ambient element induces."""
-        key = self._fingerprint(ambient_element)
-        phi = self._phi_by_fingerprint.get(key)
-        if phi is None:
-            raise ValueError("element does not normalize the target group")
-        return phi
+        """The automorphism index phi of an ambient element: its position in
+        `ambient.elements`. Raises ValueError for a non-member."""
+        ambient = self.automorphisms.ambient
+        if ambient_element not in ambient:
+            raise ValueError("element does not lie in the ambient group")
+        return ambient.index(ambient_element)
 
 
 class DiagonalElement:
     """One symbol of a diagonal-quotient action: (slot permutation, automorphism, translation).
 
-    sigma permutes the copies+1 tuple slots (degree copies+1), phi indexes an
-    automorphism representative, m holds one translating element index per
-    visible coordinate.
+    sigma permutes the copies+1 tuple slots (degree copies+1), phi indexes
+    the ambient element whose conjugation is the automorphism, m holds one
+    translating element index per visible coordinate.
     """
 
     __slots__ = ("sigma", "phi", "m")
@@ -845,7 +841,8 @@ class DiagonalAction(TupleAction):
         """The order of g, read from its structure, never from the image
         array of the whole point set.
 
-        With k the order of sigma, g^k (built with `compose`) has slot
+        With k the order of sigma, g^k (g, then g^(k-1) by `power` over
+        `compose`, so k <= 3 takes k - 1 compositions) has slot
         permutation sigma^k = 1, so it acts on each coordinate alone, by
         psi_i: t -> phi'(t)·m'_i on the target's n points. As phi' fixes
         the identity, psi_i^j(t) = phi'^j(t)·psi_i^j(1), so psi_i has
@@ -855,12 +852,10 @@ class DiagonalAction(TupleAction):
         """
         self._check(g)
         k = g.sigma.order()
-        power = g
-        for _ in range(k - 1):
-            power = self.compose(power, g)
-        mul, twist = self.data.mul, self.data.aut[power.phi]
-        orders = [self.data.aut_order[power.phi]]
-        for t in power.m:
+        gk = power(g, k - 1, g, self.compose)
+        mul, twist = self.data.mul, self.data.aut[gk.phi]
+        orders = [self.data.aut_order[gk.phi]]
+        for t in gk.m:
             # psi_i(1) = m'_i, since the identity has index 0.
             x, length = t, 1
             while x != 0:
@@ -886,24 +881,24 @@ class DiagonalAction(TupleAction):
         sigma = sigma_g sigma_h and r_i = phi_h(m_g[sigma_h^-1(i)])·m_h[i].
         Left division by the diagonal element r_0 restores slot 0, so the
         composite has m_i = r_0^-1 r_i and the automorphism t -> r_0^-1
-        phi_h(phi_g(t)) r_0, found by its images of the generators.
+        phi_h(phi_g(t)) r_0: conjugation by the ambient element
+        rep_g rep_h r_0, read from image tuples. Only the identity
+        centralizes the target, so that element is the composite's phi.
         """
         self._check(g)
         self._check(h)
         mul, inv, aut = self.data.mul, self.data.inv, self.data.aut
-        group = self.data.group
         hinv = h.sigma.inverse().images
         mg, mh = (0,) + g.m, (0,) + h.m
         r = [int(mul[aut[h.phi, mg[hinv[i]]], mh[i]]) for i in range(self.copies + 1)]
         r0inv = int(inv[r[0]])
-        key = tuple(
-            int(mul[mul[r0inv, aut[h.phi, aut[g.phi, group.index(t)]]], r[0]])
-            for t in group.generators
-        )
         m = tuple(int(mul[r0inv, v]) for v in r[1:])
-        return DiagonalElement(
-            g.sigma * h.sigma, self.data._phi_by_fingerprint[key], m
-        )
+        ambient = self.data.automorphisms.ambient
+        rep_h = ambient.elements[h.phi].images
+        r0 = self.data.group.elements[r[0]].images
+        product = tuple(r0[rep_h[v]] for v in ambient.elements[g.phi].images)
+        phi = ambient.index(Permutation._raw(product))
+        return DiagonalElement(g.sigma * h.sigma, phi, m)
 
     def translation(self, parts: Sequence[Permutation]) -> DiagonalElement:
         """Element of the direct-power part, given copies+1 target elements.

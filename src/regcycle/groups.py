@@ -252,9 +252,12 @@ def sylow_normalizer(group: GeneratedGroup, prime: int) -> GeneratedGroup:
 
 @dataclass(frozen=True)
 class AmbientAutomorphisms:
-    """Automorphisms of ``target`` realized as conjugation by elements of an
-    ambient group that normalizes it; ``coset_reps`` holds one ambient element
-    per distinct induced automorphism."""
+    """Automorphisms of ``target`` realized as conjugation by the elements of
+    an ambient group that contains and normalizes it. Only the identity of
+    the ambient group may centralize the target, which makes the target
+    centerless and each ambient element induce its own automorphism:
+    ``coset_reps`` is ``ambient.elements``, and an automorphism's index is
+    the position of its ambient element there."""
 
     target: GeneratedGroup
     ambient: GeneratedGroup
@@ -262,23 +265,15 @@ class AmbientAutomorphisms:
 
     @classmethod
     def build(cls, target: GeneratedGroup, ambient: GeneratedGroup) -> "AmbientAutomorphisms":
-        if target.degree != ambient.degree:
-            raise ValueError("target and ambient must share a degree")
+        if not target.is_subgroup_of(ambient):
+            raise ValueError("the ambient group must contain the target")
         for a in ambient.generators:
             for t in target.generators:
                 if t.conj(a) not in target:
                     raise ValueError("ambient group does not normalize the target")
-        centralizer = ambient.centralizer_of_subgroup(target)
-        cent = set(centralizer)
-        reps: list[Permutation] = []
-        seen: set[Permutation] = set()
-        for a in ambient.elements:
-            if a in seen:
-                continue
-            reps.append(a)
-            for c in centralizer:
-                seen.add(c * a)
-        return cls(target, ambient, tuple(reps))
+        if len(ambient.centralizer_of_subgroup(target)) > 1:
+            raise ValueError("the target has a nontrivial centralizer in the ambient group")
+        return cls(target, ambient, ambient.elements)
 
     @property
     def count(self) -> int:

@@ -35,9 +35,10 @@ def power(x, e: int, one, mul=operator.mul):
     """x to the e-th power, e >= 0, by right-to-left binary square and
     multiply (Knuth, TAOCP Vol. 2, section 4.6.3).
 
-    `one` is the identity and `mul(a, b)` the product "a, then b". The
-    squaring after the last bit is skipped, so the cost is
-    bit_length(e) - 1 squarings and popcount(e) multiplications.
+    `one` is the identity and `mul(a, b)` the product "a, then b". Any
+    other start value s gives s, then x^e. The squaring after the last bit
+    is skipped, so the cost is bit_length(e) - 1 squarings and popcount(e)
+    multiplications.
     """
     if e < 0:
         raise ValueError("exponent must be nonnegative")

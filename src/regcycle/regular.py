@@ -589,8 +589,15 @@ def partition_witness(
     trivially and a 4-cycle has orbits of length at most 2, so neither has
     a regular cycle.
     """
-    action = PartitionsAction(a, b)
+    return _regular_partition(PartitionsAction(a, b), g)[0]
+
+
+def _regular_partition(
+    action: PartitionsAction, g: Permutation
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """`partition_witness` on action, and the order of g from its cycle list."""
     action._check(g)
+    a, b = action.block_size, action.block_count
     if (a, b) == (2, 2):
         raise PartitionCaseError(
             "shape (2, 2) has only 3 partitions; elements of order 4 "
@@ -616,7 +623,7 @@ def partition_witness(
 
     witness = canonical_blocks([back[v] + 1 for v in blk] for blk in _fill(lead, a, n))
     certify_regular(action, g, witness, ct.order)
-    return witness
+    return witness, ct.order
 
 
 # ---------------------------------------------------------------------------
@@ -840,14 +847,14 @@ class DiagonalAuditReport:
 def diagonal_elements(
     data, copies: int, samples: Optional[int] = None, seed: int = 0
 ) -> Iterator[DiagonalElement]:
-    """Diagonal-type elements (slot permutation, normalizer coset,
+    """Diagonal-type elements (slot permutation, automorphism index phi,
     translation tuple) over data with `copies` visible coordinates.
 
     With samples None: every element, slot permutations in lexicographic
-    order, then cosets, then translation tuples in lexicographic order.
+    order, then phi, then translation tuples in lexicographic order.
     Otherwise `samples` draws from random.Random(seed), each drawing the
-    slot permutation by one shuffle, then the coset, then the translations
-    in coordinate order.
+    slot permutation by one shuffle, then phi, then the translations in
+    coordinate order.
     """
     n_amb = len(data.automorphisms.coset_reps)
     if samples is None:
@@ -966,9 +973,9 @@ FIX_UNION_FACTOR = 4
 
 
 def _constructive_proof(action: PartitionsAction, g: Permutation) -> Verdict:
-    """The certified partition_witness: every shape but 2x2 has one."""
-    order = action.element_order(g)
-    witness = partition_witness(g, action.block_size, action.block_count)
+    """The certified partition_witness: every shape but 2x2 has one. Its
+    cycle list gives the order, so g is walked twice: that list and str(g)."""
+    witness, order = _regular_partition(action, g)
     return _verdict(
         action, g, "constructive_proof", order, order, True, [list(b) for b in witness]
     )

@@ -152,6 +152,20 @@ def test_orbit_lengths_and_order_match_walk(family):
         assert images_order(images) == math.lcm(*walked)
 
 
+@pytest.mark.parametrize("where", ["-1", "size"])
+@pytest.mark.parametrize("family", CORPUS_FAMILIES)
+def test_point_refuses_an_index_out_of_range(family, where):
+    # A Python sequence would wrap -1 to the last point.
+    act, g = corpus_family_cases(family, count=1)[0]
+    idx = -1 if where == "-1" else act.size
+    with pytest.raises(IndexError):
+        act.point(idx)
+    with pytest.raises(IndexError):
+        act.apply(g, idx)
+    with pytest.raises(IndexError):
+        act.point_json(idx)
+
+
 class TestNaturalAction:
     def test_basic(self):
         act = NaturalAction(5)

@@ -345,11 +345,22 @@ STDOUT_DIGESTS = {
         "f487404c168866a262ad237d1ba0bcd924511b2f2ca6c4755826705768aaf4f6",
     ("scan", "--action", "ksets:2", "--m", "4..24"):
         "d04e3fc091d2f6350d7d79caac4928f1b1ecb88ca304d2371bfcafefeb6d6c87",
+    ("verify", "--suite", "diagonal"):
+        "f6838182d0bc02be840f38198a7b33fa8ad3c9084b4e87f55159198f81506a76",
 }
+# Digests of runs that take several seconds.
+SLOW_DIGESTS = {("verify", "--suite", "diagonal")}
 
 
 class TestStdoutDigests:
-    @pytest.mark.parametrize("argv", list(STDOUT_DIGESTS), ids=" ".join)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(argv, marks=pytest.mark.slow) if argv in SLOW_DIGESTS else argv
+            for argv in STDOUT_DIGESTS
+        ],
+        ids=" ".join,
+    )
     def test_tsv_stdout_is_byte_identical(self, argv, capsys):
         assert cli.main([*argv, "--seed", "0", "--output", "tsv"]) == 0
         out = capsys.readouterr().out

@@ -164,6 +164,31 @@ class TestAmbientAutomorphisms:
         amb = AmbientAutomorphisms.build(target, ambient)
         assert amb.count == 1440
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: (alternating_group(5), symmetric_group(5)),
+            lambda: (psl2(9), pgammal2_9()),
+        ],
+        ids=["alt5_in_sym5", "psl2_9_in_pgammal2_9"],
+    )
+    def test_each_ambient_element_is_one_automorphism(self, build):
+        target, ambient = build()
+        amb = AmbientAutomorphisms.build(target, ambient)
+        assert amb.coset_reps == ambient.elements
+        assert amb.coset_reps[0].is_identity()
+
+    def test_nontrivial_centralizer_rejected(self):
+        # Alt(3) is abelian, so it centralizes itself inside Sym(3).
+        with pytest.raises(ValueError, match="centralizer"):
+            AmbientAutomorphisms.build(alternating_group(3), symmetric_group(3))
+
+    def test_target_outside_ambient_rejected(self):
+        # The transposition normalizes Alt(5) but does not contain it.
+        ambient = closure([parse_cycles("(1 2)", 5)])
+        with pytest.raises(ValueError, match="contain"):
+            AmbientAutomorphisms.build(alternating_group(5), ambient)
+
     def test_non_normalizing_rejected(self):
         target = closure([parse_cycles("(1 2)", 4)])
         ambient = symmetric_group(4)

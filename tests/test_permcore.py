@@ -287,6 +287,8 @@ class TestPower:
         for e in range(2 * order + 2):
             expected = repeated(g, e, one, lambda a, b: a * b)
             assert power(g, e, one) == expected, e
+            # A start value s gives s, then g^e.
+            assert power(g, e, g) == g * expected, e
             assert g**e == expected, e
         assert g**order == one and g ** (order + 1) == g
 

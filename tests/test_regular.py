@@ -5,6 +5,8 @@ path: orbits of sets, partitions, and tuples are walked with direct image
 arithmetic on external values, never through action index tables.
 """
 
+import hashlib
+import json
 import math
 import random
 import subprocess
@@ -715,6 +717,23 @@ class TestPartitionWitness:
         wh = partition_witness(h, 3, 3)
         assert partition_orbit_length(h, wh) == h.order()
 
+    def test_constructive_row_walks_g_twice(self, monkeypatch):
+        import regcycle.permcore as permcore
+
+        walk = permcore.orbit_partition
+        calls = []
+
+        def counted_walk(images):
+            calls.append(len(images))
+            return walk(images)
+
+        monkeypatch.setattr(permcore, "orbit_partition", counted_walk)
+        verdict = decide(PartitionsAction(3, 10), canonical_of_type((11, 7, 5, 4, 3)))
+        assert verdict.method == "constructive_proof"
+        assert verdict.group_order_of_g == 4620
+        # The witness's cycle list, which also gives the order, and str(g).
+        assert calls == [30, 30]
+
 
 # ---------------------------------------------------------------------------
 # Product action witnesses
@@ -1072,6 +1091,33 @@ class TestDiagonalElements:
             for e in diagonal_elements(alt5_diagonal, 2, samples=25, seed=9)
         ]
         assert got == expected
+
+
+class TestDiagonalVerdicts:
+    # Recorded while phi was still resolved through centralizer cosets and
+    # generator fingerprints: the verdicts, orders and witnesses over every
+    # phi must not change with how a composite's phi is found.
+    DIGEST = "633edb44a8e10a9156b318ecd84bc90c5c4e2daa64ea65376f302e38d15a7be7"
+
+    def test_verdicts_over_every_phi_are_pinned(self, alt5_diagonal):
+        digest = hashlib.sha256()
+        for copies in (1, 2):
+            act = DiagonalAction(alt5_diagonal, copies)
+            rng = random.Random(copies)
+            for phi in range(120):
+                sigma = list(range(copies + 1))
+                rng.shuffle(sigma)
+                m = tuple(rng.randrange(60) for _ in range(copies))
+                verdict = decide(act, DiagonalElement(Permutation(sigma), phi, m))
+                digest.update(json.dumps(verdict.to_json(), sort_keys=True).encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_identity_is_phi_zero(self, alt5_diagonal):
+        assert alt5_diagonal.identity_phi == 0
+        ambient = alt5_diagonal.automorphisms.ambient
+        assert alt5_diagonal.phi_index_of(ambient.elements[7]) == 7
+        with pytest.raises(ValueError):
+            alt5_diagonal.phi_index_of(parse_cycles("(1 2)", 6))
 
 
 # ---------------------------------------------------------------------------
