@@ -17,8 +17,10 @@ materializes the whole induced map as an image array.
 
 The product, vector, affine and diagonal actions are `TupleAction`s: their
 points are little-endian digit tuples, and their `move` takes digits that
-may be plain ints or numpy index arrays. `TupleAction` derives the point
-codec and `induced_images` from that one formula.
+may be plain ints or the axes of an open grid of numpy index arrays.
+`TupleAction` derives the point codec and `induced_images` from that one
+formula. The formula reads flat tables, through memoryviews for one
+point's int digits and as int64 arrays on the grid.
 
 The k-set and partition actions build their image arrays from tables of
 their whole point listing: all k-subsets in colex order, and all uniform
@@ -538,10 +540,13 @@ class TupleAction(Action):
     fastest). The internal form is the list of 0-based digits, and an
     external point adds `offset` to every digit: 1 where the digits are
     points of a permutation domain, 0 where they are field codes. A
-    subclass's move(g, digits) takes digits that are each a plain int or a
-    numpy index array, and returns the image digits. It reads only numpy
-    tables, so the same formula moves one point and, on index arrays,
-    builds the whole image array.
+    subclass's move(g, digits) takes digits that are either all plain ints
+    or all axes of the open grid, digit k an index array of shape
+    (radix,) + (1,) * k, and returns the image digits. It reads only flat
+    tables: a memoryview, whose reads are Python ints, for int digits, and
+    the int64 array behind it on the grid. So the same formula moves one
+    point and, broadcast over the grid, builds the whole image array;
+    table reads on a single digit axis touch only radix entries.
     """
 
     def __init__(self, radix: int, length: int, offset: int, name: str):
@@ -588,8 +593,17 @@ class TupleAction(Action):
 
     def induced_images(self, g) -> np.ndarray:
         self._check(g)
-        points = np.arange(self.size, dtype=np.int64)
-        return self._encode(self.move(g, self._decode(points)))
+        axis = np.arange(self.radix, dtype=np.int64)
+        grid = [axis.reshape((self.radix,) + (1,) * k) for k in range(self.length)]
+        # A bijection moves every digit axis into its image, so the encoded
+        # images fill the grid, and digit 0 runs along its last axis: C
+        # order is index order.
+        return self._encode(self.move(g, grid)).reshape(self.size)
+
+
+def _on_grid(digits) -> bool:
+    """Whether a `TupleAction.move` was handed the open grid, not a point."""
+    return isinstance(digits[0], np.ndarray)
 
 
 class ProductAction(TupleAction):
@@ -612,16 +626,19 @@ class ProductAction(TupleAction):
             raise ValueError("element shape does not match the action")
 
     def move(self, g: WreathElement, digits: list) -> list:
+        grid = _on_grid(digits)
         out = [0] * self.copies
         for comp, s, d in zip(g.components, g.top.images, digits):
-            out[s] = np.asarray(comp.images)[d]
+            out[s] = np.asarray(comp.images)[d] if grid else comp.images[d]
         return out
 
 
 class VectorsAction(TupleAction):
     """Invertible matrices acting on row vectors of a finite field power.
 
-    Vector coordinates are field element codes (0-based).
+    Vector coordinates are field element codes (0-based). The field's
+    addition and multiplication tables are read flat: a + b is entry
+    a * q + b, and as the field is commutative, also entry b * q + a.
     """
 
     def __init__(self, dimension: int, q: int):
@@ -629,6 +646,8 @@ class VectorsAction(TupleAction):
             raise ValueError("dimension must be positive")
         self.field = field_ops(q)
         self.dimension = dimension
+        self._flat = (self.field.add_table.ravel(), self.field.mul_table.ravel())
+        self._views = tuple(memoryview(t) for t in self._flat)
         super().__init__(q, dimension, 0, f"vectors:{dimension}:{q}")
 
     def _check(self, m: Matrix) -> None:
@@ -636,12 +655,13 @@ class VectorsAction(TupleAction):
             raise ValueError("matrix shape does not match the action")
 
     def move(self, m: Matrix, digits: list) -> list:
-        add, mul = self.field.add_table, self.field.mul_table
+        add, mul = self._flat if _on_grid(digits) else self._views
+        q, d, entries = self.radix, self.dimension, m.entries
         out = []
-        for j in range(self.dimension):
-            acc = 0
-            for i, d in enumerate(digits):
-                acc = add[acc, mul[d, m[i, j]]]
+        for j in range(d):
+            acc = mul[entries[j] * q + digits[0]]
+            for i in range(1, d):
+                acc = add[acc * q + mul[entries[i * d + j] * q + digits[i]]]
             out.append(acc)
         return out
 
@@ -658,9 +678,10 @@ class AffineVectorsAction(VectorsAction):
             raise ValueError("affine map shape does not match the action")
 
     def move(self, m: AffineMap, digits: list) -> list:
-        add = self.field.add_table
+        add = (self._flat if _on_grid(digits) else self._views)[0]
+        q = self.radix
         linear = super().move(m.linear, digits)
-        return [add[v, t] for v, t in zip(linear, m.translation)]
+        return [add[t * q + v] for v, t in zip(linear, m.translation)]
 
 
 class CosetsAction(Action):
@@ -719,37 +740,77 @@ class CosetsAction(Action):
         return render_cycles(self.point(idx))
 
 
+# Table rows keyed and ranked at once: a block of keys stays in cache while
+# the degree's gathers add into it, and no full-size key table is held.
+_KEY_BLOCK = 64
+
+
+def _rank(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """The positions of `wanted` in the ascending `keys`. Raises ValueError
+    when one is missing, so that every position returned is checked."""
+    found = np.searchsorted(keys, wanted)
+    if not (keys.take(found, mode="clip") == wanted).all():
+        raise ValueError("a product, inverse or conjugate lies outside the group")
+    return found
+
+
+def _ranked(keys: np.ndarray, count: int, block_keys) -> np.ndarray:
+    """The (count, len(keys)) table whose row slice `rows` is the `_rank`
+    of `block_keys(rows)`, built one block of rows at a time."""
+    out = np.empty((count, len(keys)), dtype=np.int64)
+    for start in range(0, count, _KEY_BLOCK):
+        rows = slice(start, start + _KEY_BLOCK)
+        out[rows] = _rank(keys, block_keys(rows))
+    return out
+
+
 class DiagonalGroupData:
     """Lookup tables for a target group and its ambient automorphisms.
 
-    Stores multiplication, inversion, and per-automorphism conjugation as
-    integer tables over element indices, and the order of each automorphism.
-    An automorphism index phi is the position of its ambient element in
-    `ambient.elements`, which `AmbientAutomorphisms` makes one-to-one.
+    `mul`, `inv` and `aut` are int64 tables over element indices: the
+    product g_i g_j, the inverse of g_i, and the image of g_i under
+    automorphism phi. `aut_order` is the order of each automorphism. An
+    automorphism index phi is the position of its ambient element in
+    `ambient.elements`, which `AmbientAutomorphisms` makes one-to-one, so
+    the order of phi is the order of that element.
+
+    The tables are built from the image matrix of the elements, never from
+    a product of two `Permutation`s. A permutation of degree d is keyed by
+    its images read as base-d digits, first image most significant, so the
+    keys of `group.elements`, sorted by image tuple, ascend, and one
+    `np.searchsorted` ranks the key of each product, inverse and conjugate.
+
+    `flat` holds the tables as flat int64 arrays, entry (i, j) of an n-wide
+    table at i * n + j, and `views` holds zero-copy memoryviews of them,
+    whose reads are Python ints; there is no list copy.
     """
 
     def __init__(self, group: GeneratedGroup, automorphisms: AmbientAutomorphisms, label: str):
         self.group = group
         self.automorphisms = automorphisms
         self.label = label
-        n = group.order
-        elements = group.elements
-        index = group.index
-        mul = np.empty((n, n), dtype=np.int64)
-        for i, g in enumerate(elements):
-            mul[i] = [index(g * h) for h in elements]
-        inv = np.empty(n, dtype=np.int64)
-        for i, g in enumerate(elements):
-            inv[i] = index(g.inverse())
-        reps = automorphisms.coset_reps
-        aut = np.empty((len(reps), n), dtype=np.int64)
-        for a, rep in enumerate(reps):
-            aut[a] = [index(automorphisms.apply(rep, g)) for g in elements]
-        self.mul = mul
-        self.inv = inv
-        self.aut = aut
-        self.aut_order = [images_order(row) for row in aut]
-        self.identity_phi = self.phi_index_of(Permutation.identity(group.degree))
+        d = group.degree
+        if d**d > np.iinfo(np.int64).max:
+            raise ValueError(f"image keys of degree {d} do not fit an int64")
+        images = np.array([g.images for g in group.elements], dtype=np.intp)
+        weights = d ** np.arange(d - 1, -1, -1, dtype=np.int64)
+        keys = images @ weights
+        inverses = np.argsort(images, axis=1)
+        # g_i g_j sends x to images[j, images[i, x]], so its key is the sum
+        # over y of images[j, y] * weights[inverses[i, y]].
+        self.mul = _ranked(keys, len(keys), lambda rows: weights[inverses[rows]] @ images.T)
+        self.inv = _rank(keys, inverses @ weights)
+        # Conjugation by a sends a[z] to a[images[i, z]], so the key of
+        # the conjugate of g_i sums a[images[i, z]] * weights[a[z]] over z.
+        reps = np.array([a.images for a in automorphisms.coset_reps], dtype=np.intp)
+        rep_weights = weights[reps]
+        self.aut = _ranked(keys, len(reps), lambda rows: sum(
+            reps[rows][:, images[:, z]] * rep_weights[rows, z, None] for z in range(d)
+        ))
+        self.aut_order = [a.order() for a in automorphisms.coset_reps]
+        self.identity_phi = self.phi_index_of(Permutation.identity(d))
+        self.flat = (self.mul.ravel(), self.inv, self.aut.ravel())
+        self.views = tuple(memoryview(t) for t in self.flat)
 
     @classmethod
     def build(
@@ -771,10 +832,7 @@ class DiagonalGroupData:
     def phi_index_of(self, ambient_element: Permutation) -> int:
         """The automorphism index phi of an ambient element: its position in
         `ambient.elements`. Raises ValueError for a non-member."""
-        ambient = self.automorphisms.ambient
-        if ambient_element not in ambient:
-            raise ValueError("element does not lie in the ambient group")
-        return ambient.index(ambient_element)
+        return self.automorphisms.ambient.index(ambient_element)
 
 
 class DiagonalElement:
@@ -818,7 +876,9 @@ class DiagonalAction(TupleAction):
     the diagonal subgroup in the (l+1)-fold direct power; only (a_1..a_l) is
     stored. An element first routes slots through sigma (slot 0 carries the
     identity), renormalizes so slot 0 is the identity again, then applies the
-    automorphism and the per-coordinate right translations.
+    automorphism and the per-coordinate right translations: coordinate b
+    becomes mul[aut[phi*n + mul[inv[b0]*n + b]]*n + t] on the flat tables of
+    `DiagonalGroupData`, with b0 the new slot 0 and t the translation.
     """
 
     def __init__(self, data: DiagonalGroupData, copies: int):
@@ -846,32 +906,38 @@ class DiagonalAction(TupleAction):
         permutation sigma^k = 1, so it acts on each coordinate alone, by
         psi_i: t -> phi'(t)·m'_i on the target's n points. As phi' fixes
         the identity, psi_i^j(t) = phi'^j(t)·psi_i^j(1), so psi_i has
-        order lcm(|phi'|, length of the psi_i-orbit of the identity). The
-        action is faithful for a centerless target, so the order of g is k
-        times the lcm of the orders of the coordinate maps.
+        order lcm(|phi'|, length of the psi_i-orbit of the identity), and
+        that orbit is walked one flat read psi(x) = mul[aut[phi'*n + x]*n +
+        m'_i] at a time on the memoryviews. The action is faithful for a
+        centerless target, so the order of g is k times the lcm of the
+        orders of the coordinate maps.
         """
         self._check(g)
         k = g.sigma.order()
         gk = power(g, k - 1, g, self.compose)
-        mul, twist = self.data.mul, self.data.aut[gk.phi]
+        mul, _, aut = self.data.views
+        n = self.radix
+        twist = gk.phi * n
         orders = [self.data.aut_order[gk.phi]]
         for t in gk.m:
             # psi_i(1) = m'_i, since the identity has index 0.
             x, length = t, 1
             while x != 0:
-                x = mul[twist[x], t]
+                x = mul[aut[twist + x] * n + t]
                 length += 1
             orders.append(length)
         return k * math.lcm(*orders)
 
     def move(self, g: DiagonalElement, digits: list) -> list:
-        mul, inv, aut, phi = self.data.mul, self.data.inv, self.data.aut, g.phi
+        mul, inv, aut = self.data.flat if _on_grid(digits) else self.data.views
+        n = self.radix
+        twist = g.phi * n
         slots = [0, *digits]
         beta = [0] * (self.copies + 1)
         for i, s in enumerate(g.sigma.images):
             beta[s] = slots[i]
-        b0inv = inv[beta[0]]
-        return [mul[aut[phi, mul[b0inv, b]], t] for b, t in zip(beta[1:], g.m)]
+        head = inv[beta[0]] * n
+        return [mul[aut[twist + mul[head + b]] * n + t] for b, t in zip(beta[1:], g.m)]
 
     def compose(self, g: DiagonalElement, h: DiagonalElement) -> DiagonalElement:
         """The element that acts as g, then h, read off the data tables.
@@ -887,12 +953,14 @@ class DiagonalAction(TupleAction):
         """
         self._check(g)
         self._check(h)
-        mul, inv, aut = self.data.mul, self.data.inv, self.data.aut
+        mul, inv, aut = self.data.views
+        n = self.radix
+        twist = h.phi * n
         hinv = h.sigma.inverse().images
         mg, mh = (0,) + g.m, (0,) + h.m
-        r = [int(mul[aut[h.phi, mg[hinv[i]]], mh[i]]) for i in range(self.copies + 1)]
-        r0inv = int(inv[r[0]])
-        m = tuple(int(mul[r0inv, v]) for v in r[1:])
+        r = [mul[aut[twist + mg[hinv[i]]] * n + mh[i]] for i in range(self.copies + 1)]
+        head = inv[r[0]] * n
+        m = tuple(mul[head + v] for v in r[1:])
         ambient = self.data.automorphisms.ambient
         rep_h = ambient.elements[h.phi].images
         r0 = self.data.group.elements[r[0]].images
@@ -905,17 +973,15 @@ class DiagonalAction(TupleAction):
 
         The slot-0 entry is absorbed into a conjugation plus per-coordinate
         translations, matching right multiplication on coset representatives.
+        A part outside the target group raises ValueError naming it.
         """
         if len(parts) != self.copies + 1:
             raise ValueError(f"expected {self.copies + 1} group elements")
-        group = self.data.group
-        for t in parts:
-            if t not in group:
-                raise ValueError("translation parts must lie in the target group")
-        head = parts[0]
-        phi = self.data.phi_index_of(head)
-        head_inv = head.inverse()
-        m = tuple(group.index(head_inv * t) for t in parts[1:])
+        mul, inv, _ = self.data.views
+        index = self.data.group.index
+        head = inv[index(parts[0])] * self.radix
+        m = tuple(mul[head + index(t)] for t in parts[1:])
+        phi = self.data.phi_index_of(parts[0])
         return DiagonalElement(Permutation.identity(self.copies + 1), phi, m)
 
     def automorphism_element(self, ambient_element: Permutation) -> DiagonalElement:

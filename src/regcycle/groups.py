@@ -47,7 +47,11 @@ class GeneratedGroup:
         return iter(self.elements)
 
     def index(self, g: Permutation) -> int:
-        return self._index[g]
+        """The position of g in `elements`; ValueError for a non-member."""
+        idx = self._index.get(g)
+        if idx is None:
+            raise ValueError(f"{g!r} is not an element of {self!r}")
+        return idx
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)

@@ -199,7 +199,8 @@ def decide_bruteforce(action: Action, g) -> Verdict:
     order = action.element_order(g)
     # The size of each orbit, at its least point and nowhere else. So the
     # least point with size `order` is the least point on a regular orbit.
-    sizes = np.bincount(orbit_labels(action.induced_images(g)), minlength=action.size)
+    # Every orbit length divides the order, which bounds the doubling rounds.
+    sizes = np.bincount(orbit_labels(action.induced_images(g), order), minlength=action.size)
     induced = math.lcm(*set(sizes[sizes > 0].tolist()))
     regular = (sizes == order).nonzero()[0]
     witness_idx = int(regular[0]) if regular.size else None

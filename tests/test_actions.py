@@ -37,9 +37,12 @@ from regcycle.gfalgebra import AffineMap, Matrix, field_ops
 from regcycle.groups import (
     AmbientAutomorphisms,
     alternating_group,
+    closure,
     gl_elements,
+    pgammal2_9,
     pgl2,
     point_stabilizer,
+    psl2,
     symmetric_group,
 )
 from regcycle.permcore import Permutation, orbit_partition, parse_cycles
@@ -764,6 +767,59 @@ class TestDiagonal:
         assert alt5_data.order == 60
         assert alt5_data.mul.shape == (60, 60)
         assert alt5_data.aut.shape == (120, 60)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_tables_match_permutation_products(self, n):
+        target, ambient = alternating_group(n), symmetric_group(n)
+        automorphisms = AmbientAutomorphisms.build(target, ambient)
+        data = DiagonalGroupData.build(target, automorphisms)
+        index, elements = target.index, target.elements
+        assert data.mul.tolist() == [[index(g * h) for h in elements] for g in elements]
+        assert data.inv.tolist() == [index(g.inverse()) for g in elements]
+        aut = [
+            [index(automorphisms.apply(rep, g)) for g in elements]
+            for rep in automorphisms.coset_reps
+        ]
+        assert data.aut.tolist() == aut
+        assert data.aut_order == [images_order(row) for row in aut]
+        # The flat tables are views of the 2-D ones, read as Python ints.
+        for table, flat, view in zip((data.mul, data.inv, data.aut), data.flat, data.views):
+            assert np.shares_memory(table, flat) and flat.ndim == 1
+            assert type(view[len(flat) - 1]) is int
+            assert view[len(flat) - 1] == table.flat[-1]
+
+    def test_tables_of_a_degree_10_target(self):
+        # PSL(2, 9) on the projective line: keys in base 10, checked on a
+        # seeded sample of entries.
+        target, ambient = psl2(9), pgammal2_9()
+        automorphisms = AmbientAutomorphisms.build(target, ambient)
+        data = DiagonalGroupData.build(target, automorphisms)
+        elements, index = target.elements, target.index
+        rng = random.Random(10)
+        for _ in range(300):
+            i, j = rng.randrange(360), rng.randrange(360)
+            a = rng.randrange(len(ambient.elements))
+            assert data.mul[i, j] == index(elements[i] * elements[j])
+            assert data.inv[i] == index(elements[i].inverse())
+            rep = automorphisms.coset_reps[a]
+            assert data.aut[a, i] == index(automorphisms.apply(rep, elements[i]))
+
+    def test_keys_past_int64_refused(self):
+        # Sym(3) moving 3 of 16 points: centerless, its own ambient group,
+        # but 16**16 image keys overflow an int64.
+        s3 = closure([parse_cycles("(1 2)", 16), parse_cycles("(1 2 3)", 16)])
+        with pytest.raises(ValueError, match="int64"):
+            DiagonalGroupData.build(s3, AmbientAutomorphisms.build(s3, s3))
+
+    def test_non_members_refused(self, alt5_data):
+        act = DiagonalAction(alt5_data, 1)
+        odd, one = parse_cycles("(1 2)", 5), Permutation.identity(5)
+        with pytest.raises(ValueError, match="not an element"):
+            alt5_data.phi_index_of(Permutation.identity(4))
+        # (odd, odd) is conjugation by an ambient element, not a translation.
+        for parts in ((odd, odd), (one, odd), (odd, one)):
+            with pytest.raises(ValueError, match="not an element"):
+                act.translation(parts)
 
     def test_diagonal_translation_is_conjugation(self, alt5_data):
         act = DiagonalAction(alt5_data, 1)

@@ -94,6 +94,22 @@ class TestDecide:
         payload = json.loads(proc.stdout)
         assert payload["certified"] is True
 
+    def test_diagonal_alt7_in_seconds(self):
+        # The alt7 tables hold 2520^2 products and 5040 x 2520 conjugates.
+        start = time.perf_counter()
+        proc = run_cli(
+            "decide", "--group", "diag:7,1",
+            "--element", "sigma=();phi=1;m=2",
+            "--action", "diagonal",
+        )
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "schema": 1, "element": "sigma=();phi=1;m=2", "order": 3,
+            "induced_order": 3, "action": "diagonal:alt7:1", "verdict": True,
+            "witness": [1], "method": "bruteforce", "certified": True, "flags": [],
+        }
+
     def test_combinatorial_above_cap(self):
         proc = run_cli(
             "decide", "--group", "sym:30",
@@ -651,7 +667,7 @@ def _decide_parts(draw) -> tuple[str, str, str]:
         element = "|".join(comps) + "@" + draw(_perm_text(max(copies, 1)))
         action = draw(st.sampled_from(["product", "natural"]))
     else:
-        n, copies = draw(st.integers(3, 6)), draw(st.integers(0, 2))
+        n, copies = draw(st.integers(3, 7)), draw(st.integers(0, 2))
         group = f"diag:{n},{copies}"
         sigma = draw(_perm_text(copies + 1))
         phi = draw(st.integers(0, 3))

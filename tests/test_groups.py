@@ -60,6 +60,14 @@ class TestClosure:
         assert len(perms) == 24
         assert len(set(perms)) == 24
 
+    def test_index_refuses_a_non_member(self):
+        group = symmetric_group(3)
+        assert group.index(Permutation.identity(3)) == 0
+        with pytest.raises(ValueError, match=r"Permutation\('\(\)'\) is not an element"):
+            group.index(Permutation.identity(4))
+        with pytest.raises(ValueError, match="not an element"):
+            alternating_group(3).index(parse_cycles("(1 2)", 3))
+
 
 class TestProjectiveGroups:
     def test_pgl2_5(self):

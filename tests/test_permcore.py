@@ -255,6 +255,15 @@ class TestOrbitKernel:
         rng.shuffle(images)
         check_orbit_kernel(images)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 300).flatmap(lambda n: st.permutations(list(range(n)))))
+    def test_any_bound_gives_the_exact_labels(self, images):
+        # Bounds below the longest orbit stop the doubling too early; the
+        # completeness gather must catch that and finish the rounds.
+        exact = orbit_labels(images).tolist()
+        for bound in range(len(images) + 3):
+            assert orbit_labels(images, bound).tolist() == exact, bound
+
 
 def repeated(x, e, one, mul):
     """x^e by e multiplications, the oracle for `power`."""
