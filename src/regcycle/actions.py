@@ -8,12 +8,14 @@ blocks, vectors, coset representatives) use 1-based point labels wherever
 the underlying set is a permutation domain; finite field coordinates keep
 their 0-based element codes. An action defines its map once, as
 `move(g, x)` on its own internal point form x: the index on the natural
-and coset actions, the sorted 0-based tuple on k-sets, the canonical
-0-based blocks on partitions, and the 0-based digits on the tuple actions.
-`internal` checks an external point and converts it to that form, raising
-ValueError for a non-point, and `external` converts back.
-`Action.apply_external` is the one external map, and `induced_images`
-materializes the whole induced map as an image array.
+and coset actions, a frozenset of 0-based points on k-sets, a frozenset of
+frozenset 0-based blocks on partitions, and the 0-based digits on the
+tuple actions. `internal` checks an external point and converts it to that
+form, raising ValueError for a non-point, and `external` converts back. A
+set is equal to itself in any order, so no `move` sorts: `external` is the
+only code that puts a k-set or a partition in canonical order, the order
+every printed point has. `Action.apply_external` is the one external map,
+and `induced_images` materializes the whole induced map as an image array.
 
 The product, vector, affine and diagonal actions are `TupleAction`s: their
 points are little-endian digit tuples, and their `move` takes digits that
@@ -30,8 +32,8 @@ that needs it, never in the constructor, so an action used only through
 ndarray on these and on the tuple actions, and a list on the natural and
 coset actions.
 
-`orbit_lengths` and `images_order` read orbit sizes off an image array with
-the pointer-doubling kernel of `permcore`; nothing here walks an orbit.
+`orbit_lengths` reads orbit sizes off an image array with the
+pointer-doubling kernel of `permcore`; nothing here walks an orbit.
 `element_order` is the order of g itself, which a kernel of the action may
 divide down on the points. It first runs the action's `_check`, which
 raises ValueError for an element of the wrong shape: the wrong degree on
@@ -62,10 +64,6 @@ def orbit_lengths(images: Sequence[int]) -> list[int]:
     its `orbit_labels` label, which is its smallest member."""
     counts = np.bincount(orbit_labels(images), minlength=len(images))
     return counts[counts > 0].tolist()
-
-
-def images_order(images: Sequence[int]) -> int:
-    return math.lcm(*set(orbit_lengths(images)))
 
 
 def fixed_count(images: Sequence[int]) -> int:
@@ -210,6 +208,10 @@ def _colex_combinations(degree: int, k: int) -> np.ndarray:
 class KSetsAction(Action):
     """Action on k-element subsets of {1..degree}, indexed in colex order.
 
+    The internal form of a k-set is the frozenset of its 0-based points, so
+    `move` maps each point and sorts nothing; `external` lists the 1-based
+    points ascending, the one canonical order of a printed k-set.
+
     induced_images returns an int64 ndarray. It gathers g's images through
     the matrix of all k-subsets in colex order, sorts each row, and ranks
     the rows from a binomial table; both tables are built on the first
@@ -261,29 +263,26 @@ class KSetsAction(Action):
         rows.sort(axis=1)
         return self._binom[rows, np.arange(self.k)].sum(axis=1)
 
-    def internal(self, pt: Iterable[int]) -> tuple[int, ...]:
-        vals = sorted(pt)
-        if len(vals) != self.k or len(set(vals)) != self.k:
-            raise ValueError(f"expected {self.k} distinct points, got {vals}")
-        if vals[0] < 1 or vals[-1] > self.degree:
-            raise ValueError(f"points must lie in 1..{self.degree}: {vals}")
-        return tuple(v - 1 for v in vals)
+    def internal(self, pt: Iterable[int]) -> frozenset[int]:
+        vals = list(pt)
+        x = frozenset(v - 1 for v in vals)
+        if len(vals) != self.k or len(x) != self.k:
+            raise ValueError(f"expected {self.k} distinct points, got {sorted(vals)}")
+        if min(x) < 0 or max(x) >= self.degree:
+            raise ValueError(f"points must lie in 1..{self.degree}: {sorted(vals)}")
+        return x
 
-    def external(self, x: Sequence[int]) -> tuple[int, ...]:
-        return tuple(v + 1 for v in x)
+    def external(self, x: Iterable[int]) -> tuple[int, ...]:
+        return tuple(sorted(v + 1 for v in x))
 
-    def move(self, g: Permutation, x: Sequence[int]) -> tuple[int, ...]:
-        imgs = g.images
-        return tuple(sorted(imgs[v] for v in x))
+    def move(self, g: Permutation, x: frozenset[int]) -> frozenset[int]:
+        return frozenset(map(g.images.__getitem__, x))
 
     def point(self, idx: int) -> tuple[int, ...]:
         return self.external(self._unrank(idx))
 
     def index(self, pt: Iterable[int]) -> int:
-        return _colex_rank(self.internal(pt))
-
-    def point_json(self, idx: int) -> list[int]:
-        return list(self.point(idx))
+        return _colex_rank(sorted(self.internal(pt)))
 
 
 def partitions_count(block_size: int, block_count: int) -> int:
@@ -291,11 +290,6 @@ def partitions_count(block_size: int, block_count: int) -> int:
     return math.factorial(n) // (
         math.factorial(block_size) ** block_count * math.factorial(block_count)
     )
-
-
-def canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    """Canonical form of a block system: blocks sorted, each sorted inside."""
-    return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
 def _complements(subsets: np.ndarray, m: int) -> np.ndarray:
@@ -345,9 +339,11 @@ def _uniform_partitions_array(block_size: int, block_count: int) -> np.ndarray:
 class PartitionsAction(Action):
     """Action on partitions of {1..a*b} into b unordered blocks of size a.
 
-    Partitions are stored canonically: each block sorted ascending, blocks
-    ordered by their minimum; the internal form is the canonical 0-based
-    blocks. Index-based access works only while the count stays below an
+    The internal form of a partition is the frozenset of its blocks, each
+    a frozenset of 0-based points, so `move` maps each point and sorts
+    nothing. `external` writes the canonical form, the one order of a
+    printed partition: each block ascending, blocks ordered by their
+    minimum. Index-based access works only while the count stays below an
     internal cap; apply_external works at any scale.
 
     The listing is a small-int array (size, b, a), built on first use
@@ -410,26 +406,28 @@ class PartitionsAction(Action):
         weights = self._weights[np.asarray(g.images)]
         return self._index_of_keys(self._keys(weights, self._enum))
 
-    def internal(self, pt: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-        blocks = canonical_blocks([v - 1 for v in block] for block in pt)
+    def internal(self, pt: Iterable[Iterable[int]]) -> frozenset[frozenset[int]]:
+        blocks = [[v - 1 for v in block] for block in pt]
         if len(blocks) != self.block_count or any(
             len(b) != self.block_size for b in blocks
         ):
             raise ValueError(
                 f"expected {self.block_count} blocks of size {self.block_size}"
             )
-        if sorted(v for block in blocks for v in block) != list(range(self.degree)):
+        # The a*b listed points cover 1..a*b only when none repeats.
+        x = frozenset(map(frozenset, blocks))
+        if frozenset().union(*x) != frozenset(range(self.degree)):
             raise ValueError(f"blocks must partition 1..{self.degree}")
-        return blocks
+        return x
 
     def external(self, x: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(v + 1 for v in block) for block in x)
+        return tuple(sorted(tuple(sorted(v + 1 for v in block)) for block in x))
 
     def move(
-        self, g: Permutation, x: Iterable[Iterable[int]]
-    ) -> tuple[tuple[int, ...], ...]:
-        imgs = g.images
-        return canonical_blocks([imgs[v] for v in block] for block in x)
+        self, g: Permutation, x: frozenset[frozenset[int]]
+    ) -> frozenset[frozenset[int]]:
+        image = g.images.__getitem__
+        return frozenset(frozenset(map(image, block)) for block in x)
 
     def point(self, idx: int) -> tuple[tuple[int, ...], ...]:
         _check_index(self, idx)
@@ -438,11 +436,10 @@ class PartitionsAction(Action):
 
     def index(self, pt: Iterable[Iterable[int]]) -> int:
         self._materialize()
-        key = self._keys(self._weights, np.array([self.internal(pt)]))
-        return int(self._index_of_keys(key)[0])
-
-    def point_json(self, idx: int) -> list[list[int]]:
-        return [list(block) for block in self.point(idx)]
+        # A key sums weights over each block and sorts the block sums, so
+        # it does not depend on the order of blocks or of their points.
+        blocks = np.array([[list(b) for b in self.internal(pt)]])
+        return int(self._index_of_keys(self._keys(self._weights, blocks))[0])
 
 
 class WreathElement:
@@ -587,9 +584,6 @@ class TupleAction(Action):
 
     def index(self, pt: Iterable[int]) -> int:
         return self._encode(self.internal(pt))
-
-    def point_json(self, idx: int) -> list[int]:
-        return list(self.point(idx))
 
     def induced_images(self, g) -> np.ndarray:
         self._check(g)
@@ -802,12 +796,13 @@ class DiagonalGroupData:
         self.inv = _rank(keys, inverses @ weights)
         # Conjugation by a sends a[z] to a[images[i, z]], so the key of
         # the conjugate of g_i sums a[images[i, z]] * weights[a[z]] over z.
-        reps = np.array([a.images for a in automorphisms.coset_reps], dtype=np.intp)
+        ambient = automorphisms.ambient.elements
+        reps = np.array([a.images for a in ambient], dtype=np.intp)
         rep_weights = weights[reps]
         self.aut = _ranked(keys, len(reps), lambda rows: sum(
             reps[rows][:, images[:, z]] * rep_weights[rows, z, None] for z in range(d)
         ))
-        self.aut_order = [a.order() for a in automorphisms.coset_reps]
+        self.aut_order = [a.order() for a in ambient]
         self.identity_phi = self.phi_index_of(Permutation.identity(d))
         self.flat = (self.mul.ravel(), self.inv, self.aut.ravel())
         self.views = tuple(memoryview(t) for t in self.flat)

@@ -241,7 +241,7 @@ def _parse_diagonal_element(ctx: GroupContext, text: str) -> DiagonalElement:
     sigma = parse_cycles(fields["sigma"], ctx.copies + 1)
     phi = _int(fields["phi"], "phi") - 1
     m = tuple(_int(v, "m entry") - 1 for v in fields["m"].split(",") if v)
-    n_amb = len(ctx.data.automorphisms.coset_reps)
+    n_amb = len(ctx.data.automorphisms.ambient.elements)
     if not 0 <= phi < n_amb:
         raise SpecError(f"phi must be in 1..{n_amb}")
     if len(m) != ctx.copies or any(not 0 <= v < ctx.data.order for v in m):

@@ -63,9 +63,6 @@ class GeneratedGroup:
         """Elements commuting with every generator of ``other``."""
         return [a for a in self.elements if all(a * t == t * a for t in other.generators)]
 
-    def random_element(self, rng) -> Permutation:
-        return self.elements[rng.randrange(len(self.elements))]
-
     def __repr__(self) -> str:
         return "GeneratedGroup(degree=%d, order=%d)" % (self.degree, self.order)
 
@@ -278,11 +275,3 @@ class AmbientAutomorphisms:
         if len(ambient.centralizer_of_subgroup(target)) > 1:
             raise ValueError("the target has a nontrivial centralizer in the ambient group")
         return cls(target, ambient, ambient.elements)
-
-    @property
-    def count(self) -> int:
-        return len(self.coset_reps)
-
-    def apply(self, rep: Permutation, t: Permutation) -> Permutation:
-        """The image of t under the automorphism realized by ``rep``."""
-        return t.conj(rep)

@@ -7,9 +7,12 @@ certifies it with `certify_regular`: a point lies on a regular cycle exactly
 when no power g^(|g|/p), with p a prime dividing |g|, fixes it, and those
 powers are applied from shared squarings of g, so the check never walks the
 orbit. The certificate checks the witness once, with the action's
-`internal`, and moves it in that internal form. Certification failures,
-a witness that is not a point among them, raise AssertionError: a
-construction is never allowed to return silently wrong.
+`internal`, moves it in that internal form, and returns the action's
+`external` form of the point it checked. Every construction prints that
+return value, so a printed witness is the point that was certified, in
+the action's one canonical order. Certification failures, a witness that
+is not a point among them, raise AssertionError: a construction is never
+allowed to return silently wrong.
 
 `decide` runs the first row of one ordered table, DECIDE_TABLE, that applies
 to the action and element: the two enumerating deciders while the action is
@@ -24,10 +27,11 @@ witness on that smaller side from the same list, complements it when
 k > m/2, and certifies the k-set it returns. `kset_witness` is a thin entry
 over that row.
 
-A verdict names g by `str(g)`: every element type prints the form that
-the CLI's `parse_element` reads back. Point values in results are external
-(1-based or field codes, matching the owning action); all internal work is
-0-based.
+A verdict keeps g itself and names it by `str(g)` only when its text is
+read, so no decider renders text that its caller may drop: every element
+type prints the form that the CLI's `parse_element` reads back. Point
+values in results are external (1-based or field codes, matching the
+owning action); all internal work is 0-based.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ from .actions import (
     ProductAction,
     VectorsAction,
     WreathElement,
-    canonical_blocks,
     fixed_count,
     orbit_lengths,
     power_images,
@@ -97,7 +100,8 @@ class DomainCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a regular-cycle decision for one element and action."""
+    """Outcome of a regular-cycle decision for one element and action. It
+    keeps the element g itself, and `element_text` renders it on each read."""
 
     group_order_of_g: int
     induced_order: int
@@ -106,7 +110,7 @@ class Verdict:
     method: str
     certified: bool
     flags: tuple[str, ...] = ()
-    element_text: str = ""
+    element: object = None
     action_name: str = ""
 
     def __post_init__(self):
@@ -114,6 +118,10 @@ class Verdict:
             raise ValueError(f"unknown method {self.method!r}")
         if self.induced_order > self.group_order_of_g:
             raise ValueError("induced order cannot exceed the element order")
+
+    @property
+    def element_text(self) -> str:
+        return str(self.element)
 
     def to_json(self) -> dict:
         return {
@@ -149,19 +157,22 @@ def _verdict(
         method=method,
         certified=True,
         flags=flags,
-        element_text=str(g),
+        element=g,
         action_name=action.name,
     )
 
 
-def certify_regular(action: Action, g, pt, order: int) -> None:
-    """Assert that the external point pt lies on a g-cycle of length `order`.
+def certify_regular(action: Action, g, pt, order: int):
+    """Assert that the external point pt lies on a g-cycle of length `order`,
+    and return `action.external` of the point checked.
 
     pt may be in any form that action.internal accepts; anything that is
-    not a point of the action raises AssertionError. g and pt are checked
-    once, and the point is then moved in the action's internal form. Its
-    orbit length divides `order` when g^order fixes it, and equals `order`
-    when, besides, no g^(order/p) with p a prime dividing `order` fixes it.
+    not a point of the action raises AssertionError. The return value is
+    the point in the action's canonical external form, which the witness
+    builders print as it is. g and pt are checked once, and the point is
+    then moved in the action's internal form. Its orbit length divides
+    `order` when g^order fixes it, and equals `order` when, besides, no
+    g^(order/p) with p a prime dividing `order` fixes it.
     The powers act through the shared squarings g, g^2, g^4, ..., so the
     check costs bit_length(order) - 1 compositions and popcount(e) moves
     per exponent e checked, never a walk of the orbit.
@@ -188,6 +199,7 @@ def certify_regular(action: Action, g, pt, order: int) -> None:
     for p in factorize(order).primes:
         if image(order // p) == x:
             raise AssertionError(f"g^({order}/{p}) fixes the point {pt}")
+    return action.external(x)
 
 
 def decide_bruteforce(action: Action, g) -> Verdict:
@@ -369,7 +381,8 @@ def _kset_combinatorial(action: KSetsAction, g: Permutation) -> Verdict:
     it takes all but one point of each chosen cycle plus the smallest points
     off their supports. When j < k the j-set is complemented, a
     g-equivariant bijection of j-sets onto (m-j)-sets, so orbit lengths
-    carry over. The k-set the verdict prints is the one certified.
+    carry over. The verdict prints the k-set that `certify_regular`
+    returns.
     """
     action._check(g)
     cycles = g.cycles(include_fixed=True)
@@ -397,11 +410,11 @@ def _kset_combinatorial(action: KSetsAction, g: Permutation) -> Verdict:
         assert len(picked) == j
         if j < action.k:
             inside = set(picked)
-            witness = [v + 1 for v in range(m) if v not in inside]
+            pts = [v + 1 for v in range(m) if v not in inside]
             flags += ("complement_dual",)
         else:
-            witness = sorted(v + 1 for v in picked)
-        certify_regular(action, g, witness, ct.order)
+            pts = [v + 1 for v in picked]
+        witness = certify_regular(action, g, pts, ct.order)
     return _verdict(
         action, g, "kset_combinatorial", ct.order, ct.order,
         decision.has_regular_cycle, witness, flags,
@@ -417,7 +430,7 @@ def kset_witness(g: Permutation, k: int) -> tuple[int, ...]:
     verdict = _kset_combinatorial(KSetsAction(g.degree, k), g)
     if not verdict.has_regular_cycle:
         raise ValueError(f"no regular cycle on {k}-sets for {verdict.element_text}")
-    return tuple(verdict.witness)
+    return verdict.witness
 
 
 @dataclass(frozen=True)
@@ -622,9 +635,8 @@ def _regular_partition(
     else:
         lead = _partition_case_overflow(lengths, starts, a)
 
-    witness = canonical_blocks([back[v] + 1 for v in blk] for blk in _fill(lead, a, n))
-    certify_regular(action, g, witness, ct.order)
-    return witness, ct.order
+    blocks = [[back[v] + 1 for v in blk] for blk in _fill(lead, a, n)]
+    return certify_regular(action, g, blocks, ct.order), ct.order
 
 
 # ---------------------------------------------------------------------------
@@ -691,9 +703,9 @@ def product_witness(
         for j in range(r - 1, 0, -1):
             suffix = perms[cyc[j]] * suffix
             out[cyc[j]] = suffix.inverse().images[delta]
-    witness = tuple(v + 1 for v in out)
-    certify_regular(ProductAction(base_degree, copies), g, witness, order)
-    return witness
+    return certify_regular(
+        ProductAction(base_degree, copies), g, [v + 1 for v in out], order
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -727,12 +739,6 @@ def confirmed_order(m: Matrix, order: int) -> int:
     return order
 
 
-def _orbit_lengths_and_order(action: VectorsAction, m: Matrix) -> tuple[np.ndarray, int]:
-    """Orbit length of each vector under m, and m's order confirmed from them."""
-    lengths = orbit_length_array(action.induced_images(m))
-    return lengths, confirmed_order(m, math.lcm(*set(lengths.tolist())))
-
-
 def gl_regular_vector_set(m: Matrix) -> SpanningSet:
     """All vectors on full-length orbits under m, with a span check.
 
@@ -744,7 +750,8 @@ def gl_regular_vector_set(m: Matrix) -> SpanningSet:
     d = m.rows
     q = m.field.q
     action = VectorsAction(d, q)
-    lengths, order = _orbit_lengths_and_order(action, m)
+    lengths = orbit_length_array(action.induced_images(m))
+    order = confirmed_order(m, math.lcm(*set(lengths.tolist())))
     # The codec decodes the whole index array at once; vector points are
     # the digits themselves (field codes, offset 0).
     digits = action._decode(np.flatnonzero(lengths == order))
@@ -768,9 +775,7 @@ def affine_witness(f: AffineMap) -> tuple[int, ...]:
     found = np.flatnonzero(lengths == order)
     if found.size == 0:
         raise ValueError("no regular affine vector exists for this map")
-    w = action.point(int(found[0]))
-    certify_regular(action, f, w, order)
-    return w
+    return certify_regular(action, f, action.point(int(found[0])), order)
 
 
 # ---------------------------------------------------------------------------
@@ -803,9 +808,11 @@ def wreath_fpr_max(inner: GeneratedGroup, outer: GeneratedGroup) -> Fraction:
                 continue
             ratio = Fraction(fixed_count(action.induced_images(g)), action.size)
             outer_max = max(outer_max, ratio)
-    assert outer_max == inner_max, (
-        f"wreath fpr max {outer_max} differs from inner max {inner_max}"
-    )
+    # Raised explicitly, so that the identity is also checked under python -O.
+    if outer_max != inner_max:
+        raise AssertionError(
+            f"wreath fpr max {outer_max} differs from inner max {inner_max}"
+        )
     return outer_max
 
 
@@ -857,7 +864,7 @@ def diagonal_elements(
     slot permutation by one shuffle, then phi, then the translations in
     coordinate order.
     """
-    n_amb = len(data.automorphisms.coset_reps)
+    n_amb = len(data.automorphisms.ambient.elements)
     if samples is None:
         for sigma in all_permutations(copies + 1):
             for phi in range(n_amb):
@@ -921,7 +928,7 @@ def diagonal_fpr_audit(
     """
     action = DiagonalAction(data, copies)
     n_target = data.group.order
-    n_amb = len(data.automorphisms.coset_reps)
+    n_amb = len(data.automorphisms.ambient.elements)
     total = math.factorial(copies + 1) * n_amb * n_target**copies
     exhaustive = total <= DIAGONAL_EXHAUSTIVE_CAP
 
@@ -975,11 +982,10 @@ FIX_UNION_FACTOR = 4
 
 def _constructive_proof(action: PartitionsAction, g: Permutation) -> Verdict:
     """The certified partition_witness: every shape but 2x2 has one. Its
-    cycle list gives the order, so g is walked twice: that list and str(g)."""
+    cycle list gives the order, so g is walked once: the verdict renders
+    g only when its text is read."""
     witness, order = _regular_partition(action, g)
-    return _verdict(
-        action, g, "constructive_proof", order, order, True, [list(b) for b in witness]
-    )
+    return _verdict(action, g, "constructive_proof", order, order, True, witness)
 
 
 def _listed_within(factor: int):

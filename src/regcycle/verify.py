@@ -8,6 +8,8 @@ SuiteLine with a stable name, a pass flag and the detail. A failing check
 never aborts the suite: its exception becomes the detail of a failing line,
 so a report always describes every check. Code a suite runs before its
 first yield, such as the k-set oracle's pricing, runs before any check.
+The checks are `assert` statements, which python -O strips, so `run_suite`
+refuses to run under -O rather than report checks that never ran.
 
 Reports are deterministic for a fixed seed: every sample comes from a
 generator seeded by the config, and lines keep the suite's order, so the
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -857,7 +860,11 @@ SUITES: dict[str, Callable[..., Checks]] = {
 def run_suite(
     name: str, config: Optional[RunConfig] = None, **overrides
 ) -> SuiteReport:
-    """Run the named suite's checks in order; overrides go to the suite."""
+    """Run the named suite's checks in order; overrides go to the suite.
+    Raises AssertionError under python -O, which strips the checks."""
+    # Raised explicitly: an `assert` here would be stripped too.
+    if sys.flags.optimize:
+        raise AssertionError("suite checks are assert statements; run without python -O")
     if name not in SUITES:
         raise ValueError(
             f"unknown suite {name!r}; expected one of {', '.join(sorted(SUITES))}"

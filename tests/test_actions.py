@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import subprocess
@@ -27,7 +28,6 @@ from regcycle.actions import (
     VectorsAction,
     WreathElement,
     fixed_count,
-    images_order,
     orbit_lengths,
     partitions_count,
     power_images,
@@ -81,7 +81,7 @@ class TestImageHelpers:
         assert sorted(orbit_lengths(images)) == sorted(
             len(c) for c in g.cycles(include_fixed=True)
         )
-        assert images_order(images) == g.order()
+        assert math.lcm(*orbit_lengths(images)) == g.order()
 
     @given(perm_strategy(8), st.integers(min_value=0, max_value=40))
     def test_power_images(self, g, e):
@@ -152,7 +152,7 @@ def test_orbit_lengths_and_order_match_walk(family):
         images = act.induced_images(g)
         walked = [len(orbit) for orbit in orbit_partition(images)]
         assert orbit_lengths(images) == walked
-        assert images_order(images) == math.lcm(*walked)
+        assert math.lcm(*orbit_lengths(images)) == math.lcm(*walked)
 
 
 @pytest.mark.parametrize("where", ["-1", "size"])
@@ -178,7 +178,7 @@ class TestNaturalAction:
         assert act.point(0) == 1
         assert act.index(5) == 4
         assert act.element_order(g) == 3
-        assert images_order(act.induced_images(g)) == 3
+        assert math.lcm(*orbit_lengths(act.induced_images(g))) == 3
         assert fixed_count(act.induced_images(g)) == 2
 
     def test_index_validation(self):
@@ -289,7 +289,7 @@ class TestPartitions:
         for text in ("(1 2)(3 4)", "(1 3)(2 4)", "(1 4)(2 3)"):
             g = parse_cycles(text, 4)
             assert list(act.induced_images(g)) == [0, 1, 2]
-            assert images_order(act.induced_images(g)) < act.element_order(g)
+            assert math.lcm(*orbit_lengths(act.induced_images(g))) < act.element_order(g)
         # The quotient of Sym(4) by that kernel acts as the full Sym(3).
         seen = {tuple(act.induced_images(g)) for g in symmetric_group(4)}
         assert len(seen) == 6
@@ -324,6 +324,61 @@ class TestPartitions:
         assert proc.returncode == 0, proc.stderr
         peak_mb = int(proc.stdout) / 1024
         assert peak_mb < 150, f"peak RSS {peak_mb:.0f} MB"
+
+
+# The uniform partition shapes of degree at most 12.
+_SMALL_PARTITION_SHAPES = [(a, b) for a in range(2, 7) for b in range(2, 7) if a * b <= 12]
+
+
+@functools.cache
+def _set_action(kind: str, p: int, q: int) -> Action:
+    return KSetsAction(p, q) if kind == "ksets" else PartitionsAction(p, q)
+
+
+class TestSetPointForms:
+    """k-sets and partitions are sets inside: the order in which a point
+    lists its members, and a partition its blocks, changes nothing, and
+    `external` writes the one canonical order that `point` lists."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_member_and_block_order_are_ignored(self, data):
+        if data.draw(st.booleans()):
+            degree = data.draw(st.integers(1, 12))
+            act = _set_action("ksets", degree, data.draw(st.integers(1, degree)))
+        else:
+            act = _set_action("partitions", *data.draw(st.sampled_from(_SMALL_PARTITION_SHAPES)))
+        idx = data.draw(st.integers(0, act.size - 1))
+        pt = act.point(idx)
+        if isinstance(act, KSetsAction):
+            reordered = data.draw(st.permutations(pt))
+        else:
+            reordered = [data.draw(st.permutations(b)) for b in data.draw(st.permutations(pt))]
+        assert act.internal(reordered) == act.internal(pt)
+        assert act.index(reordered) == act.index(pt) == idx
+        assert act.external(act.internal(reordered)) == act.point(act.index(reordered)) == pt
+
+    def test_wide_kset_index(self):
+        # Past a set's hash table size its members no longer iterate in
+        # ascending order, so the colex rank must sort them.
+        act = KSetsAction(100, 5)
+        pt = (50, 98, 54, 6, 34)
+        assert list(act.internal(pt)) != sorted(act.internal(pt))
+        assert act.point(act.index(pt)) == (6, 34, 50, 54, 98)
+
+    @pytest.mark.parametrize(
+        "pt",
+        [
+            ((1, 2), (1, 2), (3, 4)),
+            ((1, 2), (2, 3), (4, 5)),
+            ((1, 2), (3, 4), (5, 7)),
+            ((1, 2, 1), (3, 4), (5, 6)),
+        ],
+        ids=["repeated-block", "overlapping-blocks", "point-out-of-range", "repeated-point"],
+    )
+    def test_partition_non_points_refused(self, pt):
+        with pytest.raises(ValueError):
+            PartitionsAction(2, 3).internal(pt)
 
 
 def colex_reference(degree: int, k: int) -> list[tuple[int, ...]]:
@@ -528,7 +583,7 @@ class TestProductAction:
         act = ProductAction(3, 3)
         for _ in range(40):
             g = random_wreath(rng, 3, 3)
-            assert images_order(act.induced_images(g)) == g.order()
+            assert math.lcm(*orbit_lengths(act.induced_images(g))) == g.order()
 
     def test_point_indexing(self):
         act = ProductAction(3, 2)
@@ -601,7 +656,7 @@ class TestVectorActions:
         amap = AffineMap(Matrix.identity(f, 2), (1, 0))
         act = AffineVectorsAction(2, 3)
         assert act.element_order(amap) == 3
-        assert images_order(act.induced_images(amap)) == 3
+        assert math.lcm(*orbit_lengths(act.induced_images(amap))) == 3
         assert fixed_count(act.induced_images(amap)) == 0
 
     def test_vector_index_round_trip(self):
@@ -700,7 +755,7 @@ class TestTupleActionContract:
             head = beta[0].inverse()
             rep = amb.coset_reps[phi]
             return [
-                group.index(amb.apply(rep, head * b) * elements[t]) + 1
+                group.index((head * b).conj(rep) * elements[t]) + 1
                 for b, t in zip(beta[1:], m)
             ]
 
@@ -714,7 +769,7 @@ class TestCosetsAction:
         act = CosetsAction(group, stab)
         assert act.size == 4
         g = parse_cycles("(1 2 3 4)", 4)
-        assert images_order(act.induced_images(g)) == 4
+        assert math.lcm(*orbit_lengths(act.induced_images(g))) == 4
         assert fixed_count(act.induced_images(parse_cycles("(1 2)", 4))) == 2
 
     def test_right_action_law(self):
@@ -735,8 +790,8 @@ class TestCosetsAction:
         act = CosetsAction(group, alt)
         assert act.size == 2
         g = parse_cycles("(1 2 3)", 4)
-        assert images_order(act.induced_images(g)) == 1 < act.element_order(g)
-        assert images_order(act.induced_images(parse_cycles("(1 2)", 4))) == 2
+        assert math.lcm(*orbit_lengths(act.induced_images(g))) == 1 < act.element_order(g)
+        assert math.lcm(*orbit_lengths(act.induced_images(parse_cycles("(1 2)", 4)))) == 2
 
     def test_representatives_sorted(self):
         group = symmetric_group(4)
@@ -777,11 +832,11 @@ class TestDiagonal:
         assert data.mul.tolist() == [[index(g * h) for h in elements] for g in elements]
         assert data.inv.tolist() == [index(g.inverse()) for g in elements]
         aut = [
-            [index(automorphisms.apply(rep, g)) for g in elements]
+            [index(g.conj(rep)) for g in elements]
             for rep in automorphisms.coset_reps
         ]
         assert data.aut.tolist() == aut
-        assert data.aut_order == [images_order(row) for row in aut]
+        assert data.aut_order == [math.lcm(*orbit_lengths(row)) for row in aut]
         # The flat tables are views of the 2-D ones, read as Python ints.
         for table, flat, view in zip((data.mul, data.inv, data.aut), data.flat, data.views):
             assert np.shares_memory(table, flat) and flat.ndim == 1
@@ -802,7 +857,7 @@ class TestDiagonal:
             assert data.mul[i, j] == index(elements[i] * elements[j])
             assert data.inv[i] == index(elements[i].inverse())
             rep = automorphisms.coset_reps[a]
-            assert data.aut[a, i] == index(automorphisms.apply(rep, elements[i]))
+            assert data.aut[a, i] == index(elements[i].conj(rep))
 
     def test_keys_past_int64_refused(self):
         # Sym(3) moving 3 of 16 points: centerless, its own ambient group,
@@ -836,8 +891,8 @@ class TestDiagonal:
         group = alt5_data.group
         rng = random.Random(41)
         for _ in range(10):
-            a, b = (group.random_element(rng) for _ in range(2))
-            c, d = (group.random_element(rng) for _ in range(2))
+            a, b = (rng.choice(group.elements) for _ in range(2))
+            c, d = (rng.choice(group.elements) for _ in range(2))
             first = Permutation(tuple(int(v) for v in act.induced_images(act.translation((a, b)))))
             second = Permutation(tuple(int(v) for v in act.induced_images(act.translation((c, d)))))
             combined = Permutation(
@@ -850,8 +905,8 @@ class TestDiagonal:
         ambient = alt5_data.automorphisms.ambient
         rng = random.Random(42)
         for _ in range(6):
-            a = ambient.random_element(rng)
-            b = ambient.random_element(rng)
+            a = rng.choice(ambient.elements)
+            b = rng.choice(ambient.elements)
             fa = act.induced_images(act.automorphism_element(a))
             fb = act.induced_images(act.automorphism_element(b))
             fab = act.induced_images(act.automorphism_element(a * b))
@@ -934,7 +989,7 @@ class TestDiagonal:
             permutations(range(2)), range(alt5_data.aut.shape[0]), range(60)
         ):
             g = DiagonalElement(Permutation(sigma), phi, (m0,))
-            assert act.element_order(g) == images_order(act.induced_images(g)), g
+            assert act.element_order(g) == math.lcm(*orbit_lengths(act.induced_images(g))), g
 
     def test_element_order_is_induced_order_copies2(self, alt5_data):
         act = DiagonalAction(alt5_data, 2)
@@ -945,7 +1000,7 @@ class TestDiagonal:
                 rng.randrange(alt5_data.aut.shape[0]),
                 (rng.randrange(60), rng.randrange(60)),
             )
-            assert act.element_order(g) == images_order(act.induced_images(g)), g
+            assert act.element_order(g) == math.lcm(*orbit_lengths(act.induced_images(g))), g
 
     @pytest.mark.parametrize("decider", [decide_bruteforce, decide_fix_union])
     def test_one_image_build_per_decider_call(self, alt5_data, monkeypatch, decider):

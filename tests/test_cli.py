@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from regcycle import cli
@@ -421,6 +421,19 @@ class TestVerify:
         assert lines[0] == "check\tok\tdetail"
         assert all(line.split("\t")[1] == "true" for line in lines[1:])
 
+    def test_refused_under_python_O(self):
+        # The suites' checks are assert statements, which -O strips.
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "regcycle", "verify", "--suite", "s6-exception"],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and "python -O" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_unknown_suite_exit_2(self):
         proc = run_cli("verify", "--suite", "bogus")
         assert proc.returncode == 2
@@ -744,6 +757,16 @@ class TestExitContract:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(_ARGVS)
+    # The documented cap edges: tables priced past the cap, cosets of
+    # groups past the closure cap, and a listable partition shape of
+    # 1 401 400 points, near the 2 000 000 enumeration cap.
+    @example(["decide", "--group", "diag:8,1", "--element", "sigma=();phi=1;m=1",
+              "--action", "diagonal"])
+    @example(["decide", "--group", "sym:11", "--element", "(1 2)", "--action", "cosets:stab:1"])
+    @example(["decide", "--group", "alt:11", "--element", "(1 2 3)",
+              "--action", "cosets:pair:1,2"])
+    @example(["decide", "--group", "sym:15", "--element", "(1 2 3)(4 5)",
+              "--action", "partitions:3x5"])
     def test_exit_code_and_clean_stderr(self, argv):
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()

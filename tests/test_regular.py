@@ -32,7 +32,6 @@ from regcycle.actions import (
     ProductAction,
     VectorsAction,
     WreathElement,
-    images_order,
     orbit_lengths,
 )
 from regcycle.gfalgebra import AffineMap, Matrix, field_ops
@@ -62,7 +61,6 @@ from regcycle.regular import (
     DomainCapError,
     PartitionCaseError,
     Verdict,
-    _orbit_lengths_and_order,
     affine_witness,
     certify_regular,
     confirmed_order,
@@ -318,7 +316,7 @@ class TestDecideFixUnion:
         unfaithful = 0
         for g in group:
             v = decide_fix_union(act, g)
-            induced = images_order(act.induced_images(g))
+            induced = math.lcm(*orbit_lengths(act.induced_images(g)))
             assert v.induced_order == induced, render_cycles(g)
             assert v.induced_order == decide_bruteforce(act, g).induced_order
             assert ("unfaithful" in v.flags) == (induced < g.order())
@@ -574,8 +572,8 @@ class TestKSetWitness:
 
 
 class TestKSetRow:
-    """The kset_combinatorial row walks g once besides rendering it, decides
-    once, and certifies the k-set it prints."""
+    """The kset_combinatorial row walks g once, decides once, and prints the
+    k-set that it certified."""
 
     G = parse_cycles("(1 2 3 4 5)(6 7 8)(9 10)(11 12 13 14 15 16 17)", 100)
 
@@ -599,8 +597,8 @@ class TestKSetRow:
         monkeypatch.setattr(regular, "kset_decide", counted_decide)
         verdict = decide(KSetsAction(100, k), self.G)
         assert verdict.method == "kset_combinatorial" and verdict.has_regular_cycle
-        # One cycle list, and str(g) for the verdict's text.
-        assert calls == {"walk": 2, "decide": 1}
+        # One cycle list; the verdict renders g only when its text is read.
+        assert calls == {"walk": 1, "decide": 1}
 
     def test_certifies_the_printed_set(self, monkeypatch):
         import regcycle.regular as regular
@@ -618,6 +616,47 @@ class TestKSetRow:
         assert len(verdict.witness) == 91
         assert seen == [("ksets:100:91", tuple(verdict.witness), 210)]
         assert kset_orbit_length(self.G, tuple(verdict.witness)) == 210
+
+
+class TestWitnessIsCertifiedPoint:
+    """Each witness builder certifies once and prints, as the very object,
+    what `certify_regular` returned."""
+
+    @pytest.fixture
+    def returned(self, monkeypatch):
+        import regcycle.regular as regular
+
+        certify = regular.certify_regular
+        out = []
+
+        def recorded(action, g, pt, order):
+            out.append(certify(action, g, pt, order))
+            return out[-1]
+
+        monkeypatch.setattr(regular, "certify_regular", recorded)
+        return out
+
+    def test_partition_witness(self, returned):
+        w = partition_witness(canonical_of_type((5, 3, 2, 2)), 3, 4)
+        assert len(returned) == 1 and w is returned[0]
+        assert w == tuple(sorted(tuple(sorted(b)) for b in w))
+
+    @pytest.mark.parametrize("k", [9, 91])
+    def test_kset_row_both_sides(self, returned, k):
+        verdict = decide(KSetsAction(100, k), TestKSetRow.G)
+        assert verdict.has_regular_cycle
+        assert len(returned) == 1 and verdict.witness is returned[0]
+        assert verdict.witness == tuple(sorted(verdict.witness))
+
+    def test_product_witness(self, returned):
+        comps = [parse_cycles("(1 2 3)", 4), parse_cycles("(1 2)(3 4)", 4)]
+        w = product_witness([(h, None) for h in comps], parse_cycles("(1 2)", 2))
+        assert len(returned) == 1 and w is returned[0]
+
+    def test_affine_witness(self, returned):
+        f = field_ops(3)
+        w = affine_witness(AffineMap(Matrix.from_rows(f, [[1, 1], [0, 1]]), (0, 1)))
+        assert len(returned) == 1 and w is returned[0]
 
 
 class TestKSetsTheoremScan:
@@ -717,7 +756,7 @@ class TestPartitionWitness:
         wh = partition_witness(h, 3, 3)
         assert partition_orbit_length(h, wh) == h.order()
 
-    def test_constructive_row_walks_g_twice(self, monkeypatch):
+    def test_constructive_row_walks_g_once(self, monkeypatch):
         import regcycle.permcore as permcore
 
         walk = permcore.orbit_partition
@@ -731,8 +770,9 @@ class TestPartitionWitness:
         verdict = decide(PartitionsAction(3, 10), canonical_of_type((11, 7, 5, 4, 3)))
         assert verdict.method == "constructive_proof"
         assert verdict.group_order_of_g == 4620
-        # The witness's cycle list, which also gives the order, and str(g).
-        assert calls == [30, 30]
+        # The witness's cycle list, which also gives the order; the verdict
+        # renders g only when its text is read.
+        assert calls == [30]
 
 
 # ---------------------------------------------------------------------------
@@ -908,14 +948,16 @@ class TestLinearOrder:
     def test_image_order_equals_walk_on_gl(self, d, q):
         action = VectorsAction(d, q)
         for m in gl_elements(d, q):
-            assert _orbit_lengths_and_order(action, m)[1] == m.order(), m
+            order = math.lcm(*orbit_lengths(action.induced_images(m)))
+            assert confirmed_order(m, order) == m.order(), m
 
     def test_image_order_equals_walk_on_agl23(self):
         big = VectorsAction(3, 3)
         for lin in gl_elements(2, 3):
             for tra in product(range(3), repeat=2):
                 f = AffineMap(lin, tra)
-                assert _orbit_lengths_and_order(big, f.embed())[1] == f.order()
+                order = math.lcm(*orbit_lengths(big.induced_images(f.embed())))
+                assert confirmed_order(f.embed(), order) == f.order()
 
     def test_singular_matrix_raises_value_error(self):
         f = field_ops(3)
@@ -969,6 +1011,7 @@ class TestChecksUnderOptimize:
             "import sys\n"
             "from regcycle.actions import KSetsAction, NaturalAction, PartitionsAction\n"
             "from regcycle.gfalgebra import Matrix, field_ops\n"
+            "from regcycle.groups import symmetric_group\n"
             "from regcycle.permcore import parse_cycles\n"
             "from regcycle import regular\n"
             "from regcycle.regular import certify_regular, confirmed_order, ksets_theorem_scan\n"
@@ -985,6 +1028,11 @@ class TestChecksUnderOptimize:
             "    lambda: confirmed_order(Matrix.from_rows(field_ops(5), [[1, 1], [0, 1]]), 4),\n"
             "    # A threshold that the scan's failures contradict.\n"
             "    lambda: (setattr(regular, 'nk_threshold', lambda k: 100), ksets_theorem_scan(5, 1)),\n"
+            "    # A fixed-point count that breaks the wreath identity.\n"
+            "    lambda: (\n"
+            "        setattr(regular, 'fixed_count', lambda images: 0),\n"
+            "        regular.wreath_fpr_max(symmetric_group(3), symmetric_group(2)),\n"
+            "    ),\n"
             "]\n"
             "for i, case in enumerate(cases):\n"
             "    try:\n"
