@@ -734,27 +734,23 @@ class CosetsAction(Action):
         return render_cycles(self.point(idx))
 
 
-# Table rows keyed and ranked at once: a block of keys stays in cache while
-# the degree's gathers add into it, and no full-size key table is held.
-_KEY_BLOCK = 64
-
-
-def _rank(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """The positions of `wanted` in the ascending `keys`. Raises ValueError
-    when one is missing, so that every position returned is checked."""
-    found = np.searchsorted(keys, wanted)
-    if not (keys.take(found, mode="clip") == wanted).all():
-        raise ValueError("a product, inverse or conjugate lies outside the group")
-    return found
-
-
-def _ranked(keys: np.ndarray, count: int, block_keys) -> np.ndarray:
-    """The (count, len(keys)) table whose row slice `rows` is the `_rank`
-    of `block_keys(rows)`, built one block of rows at a time."""
-    out = np.empty((count, len(keys)), dtype=np.int64)
-    for start in range(0, count, _KEY_BLOCK):
-        rows = slice(start, start + _KEY_BLOCK)
-        out[rows] = _rank(keys, block_keys(rows))
+def _closed_rows(count: int, width: int, start: int, steps) -> np.ndarray:
+    """The (count, width) int64 table with row `start` range(width) and,
+    for each (successor, gather) in `steps`, row successor[x] the gather
+    read through row x. ValueError unless the walk reaches every row."""
+    out = np.empty((count, width), dtype=np.int64)
+    out[start] = np.arange(width)
+    seen, todo = {start}, [start]
+    while todo:
+        x = todo.pop()
+        for successor, gather in steps:
+            y = successor[x]
+            if y not in seen:
+                seen.add(y)
+                gather.take(out[x], out=out[y], mode="clip")
+                todo.append(y)
+    if len(seen) < count:
+        raise ValueError("the generators do not reach every element")
     return out
 
 
@@ -768,11 +764,12 @@ class DiagonalGroupData:
     `ambient.elements`, which `AmbientAutomorphisms` makes one-to-one, so
     the order of phi is the order of that element.
 
-    The tables are built from the image matrix of the elements, never from
-    a product of two `Permutation`s. A permutation of degree d is keyed by
-    its images read as base-d digits, first image most significant, so the
-    keys of `group.elements`, sorted by image tuple, ascend, and one
-    `np.searchsorted` ranks the key of each product, inverse and conjugate.
+    `mul` and `aut` are closed over generators by `_closed_rows`, so only
+    generators are multiplied as `Permutation`s. With left_s[i] the index
+    of s·g_i, the `mul` row of s·g is left_s read through the row of g, as
+    s·g·g_j = s·(g·g_j); the `aut` row of e·a is the index of g_i
+    conjugated by a, read through the row of e. `inv` is where each `mul`
+    row holds the identity, index 0 of the target.
 
     `flat` holds the tables as flat int64 arrays, entry (i, j) of an n-wide
     table at i * n + j, and `views` holds zero-copy memoryviews of them,
@@ -783,27 +780,21 @@ class DiagonalGroupData:
         self.group = group
         self.automorphisms = automorphisms
         self.label = label
-        d = group.degree
-        if d**d > np.iinfo(np.int64).max:
-            raise ValueError(f"image keys of degree {d} do not fit an int64")
-        images = np.array([g.images for g in group.elements], dtype=np.intp)
-        weights = d ** np.arange(d - 1, -1, -1, dtype=np.int64)
-        keys = images @ weights
-        inverses = np.argsort(images, axis=1)
-        # g_i g_j sends x to images[j, images[i, x]], so its key is the sum
-        # over y of images[j, y] * weights[inverses[i, y]].
-        self.mul = _ranked(keys, len(keys), lambda rows: weights[inverses[rows]] @ images.T)
-        self.inv = _rank(keys, inverses @ weights)
-        # Conjugation by a sends a[z] to a[images[i, z]], so the key of
-        # the conjugate of g_i sums a[images[i, z]] * weights[a[z]] over z.
-        ambient = automorphisms.ambient.elements
-        reps = np.array([a.images for a in ambient], dtype=np.intp)
-        rep_weights = weights[reps]
-        self.aut = _ranked(keys, len(reps), lambda rows: sum(
-            reps[rows][:, images[:, z]] * rep_weights[rows, z, None] for z in range(d)
-        ))
-        self.aut_order = [a.order() for a in ambient]
-        self.identity_phi = self.phi_index_of(Permutation.identity(d))
+        identity = Permutation.identity(group.degree)
+        if group.index(identity) != 0:
+            raise ValueError("the target's elements must list the identity first")
+        elements, index, n = group.elements, group.index, group.order
+        lefts = (np.array([index(s * g) for g in elements]) for s in group.generators)
+        self.mul = _closed_rows(n, n, 0, [(left, left) for left in lefts])
+        self.inv = self.mul.argmin(axis=1)
+        ambient = automorphisms.ambient
+        self.identity_phi = self.phi_index_of(identity)
+        self.aut = _closed_rows(ambient.order, n, self.identity_phi, [
+            ([ambient.index(e * a) for e in ambient.elements],
+             np.array([index(g.conj(a)) for g in elements]))
+            for a in ambient.generators
+        ])
+        self.aut_order = [a.order() for a in ambient.elements]
         self.flat = (self.mul.ravel(), self.inv, self.aut.ravel())
         self.views = tuple(memoryview(t) for t in self.flat)
 

@@ -46,7 +46,7 @@ from .groups import (
     symmetric_group,
 )
 from .permcore import Permutation, parse_cycles
-from .regular import DomainCapError, decide
+from .regular import FIX_UNION_FACTOR, DomainCapError, decide
 from .verify import (
     RunConfig,
     SUITES,
@@ -129,12 +129,19 @@ def _price_diagonal_tables(n: int, cap: int) -> None:
             raise DomainCapError(order * order, cap, subject)
 
 
+def _price_degree(text: str, points: int, cap: int) -> None:
+    """Refuse a degree past the largest domain any `decide` row lists."""
+    if points > FIX_UNION_FACTOR * cap:
+        raise DomainCapError(points, FIX_UNION_FACTOR * cap, f"group {text}")
+
+
 def parse_group(text: str, config: RunConfig) -> GroupContext:
     head, _, rest = text.partition(":")
     if head in ("sym", "alt"):
         n = _int(rest, text)
         if n < 1:
             raise SpecError(f"{text!r}: degree must be positive")
+        _price_degree(text, n, config.domain_cap)
         return GroupContext(spec=text, kind=head, degree=n)
     if head in ("gl", "agl"):
         d, q = _int_pair(rest, ",", text)
@@ -163,6 +170,7 @@ def parse_group(text: str, config: RunConfig) -> GroupContext:
         n, copies = _int_pair(rest, ",", text)
         if n < 2 or copies < 1:
             raise SpecError(f"{text!r}: need base degree >= 2 and copies >= 1")
+        _price_degree(text, n * copies, config.domain_cap)
         return GroupContext(spec=text, kind="wreath", degree=n, copies=copies)
     if head == "diag":
         n, copies = _int_pair(rest, ",", text)

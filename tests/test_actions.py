@@ -36,6 +36,7 @@ from regcycle.actions import (
 from regcycle.gfalgebra import AffineMap, Matrix, field_ops
 from regcycle.groups import (
     AmbientAutomorphisms,
+    GeneratedGroup,
     alternating_group,
     closure,
     gl_elements,
@@ -328,6 +329,11 @@ class TestPartitions:
 
 # The uniform partition shapes of degree at most 12.
 _SMALL_PARTITION_SHAPES = [(a, b) for a in range(2, 7) for b in range(2, 7) if a * b <= 12]
+
+
+@functools.cache
+def _gl2(q: int) -> list[Matrix]:
+    return gl_elements(2, q)
 
 
 @functools.cache
@@ -628,18 +634,16 @@ class TestVectorActions:
             assert lifted == image + (1,)
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.sampled_from([3, 4]),
-        st.lists(st.integers(0, 2), min_size=6, max_size=6),
-        st.lists(st.integers(0, 2), min_size=6, max_size=6),
-    )
-    def test_affine_product_matches_image_arrays(self, q, a, b):
-        f = field_ops(q)
-        maps = []
-        for entries in (a, b):
-            lin = Matrix(f, 2, 2, entries[:4])
-            assume(lin.is_invertible())
-            maps.append(AffineMap(lin, tuple(entries[4:])))
+    @given(st.data())
+    def test_affine_product_matches_image_arrays(self, data):
+        # The linear parts are drawn from GL(2, q) itself, so no draw is
+        # thrown away.
+        q = data.draw(st.sampled_from([3, 4]))
+        shift = st.tuples(st.integers(0, 2), st.integers(0, 2))
+        maps = [
+            AffineMap(data.draw(st.sampled_from(_gl2(q))), data.draw(shift))
+            for _ in range(2)
+        ]
         act = AffineVectorsAction(2, q)
         first, second = (np.asarray(act.induced_images(h)) for h in maps)
         product = act.induced_images(maps[0] * maps[1])
@@ -859,12 +863,60 @@ class TestDiagonal:
             rep = automorphisms.coset_reps[a]
             assert data.aut[a, i] == index(elements[i].conj(rep))
 
-    def test_keys_past_int64_refused(self):
-        # Sym(3) moving 3 of 16 points: centerless, its own ambient group,
-        # but 16**16 image keys overflow an int64.
+    def test_degree_16_tables_match_permutation_products(self):
+        # Sym(3) moving 3 of 16 points, its own ambient group: no image key
+        # is formed, so the degree does not bound the tables.
         s3 = closure([parse_cycles("(1 2)", 16), parse_cycles("(1 2 3)", 16)])
-        with pytest.raises(ValueError, match="int64"):
-            DiagonalGroupData.build(s3, AmbientAutomorphisms.build(s3, s3))
+        automorphisms = AmbientAutomorphisms.build(s3, s3)
+        data = DiagonalGroupData.build(s3, automorphisms)
+        index, elements = s3.index, s3.elements
+        assert data.mul.tolist() == [[index(g * h) for h in elements] for g in elements]
+        assert data.inv.tolist() == [index(g.inverse()) for g in elements]
+        assert data.aut.tolist() == [
+            [index(g.conj(a)) for g in elements] for a in s3.elements
+        ]
+
+    def test_walk_that_misses_an_element_refused(self):
+        alt5, sym5 = alternating_group(5), symmetric_group(5)
+        automorphisms = AmbientAutomorphisms.build(alt5, sym5)
+        # The listed generators of the target reach only the identity.
+        target = GeneratedGroup(5, [Permutation.identity(5)], alt5.elements)
+        with pytest.raises(ValueError, match="do not reach"):
+            DiagonalGroupData.build(target, automorphisms)
+        # The ambient generators reach only the 60 even permutations.
+        ambient = GeneratedGroup(5, alt5.generators, sym5.elements)
+        with pytest.raises(ValueError, match="do not reach"):
+            DiagonalGroupData.build(alt5, AmbientAutomorphisms.build(alt5, ambient))
+
+    def test_generator_outside_the_target_refused(self):
+        # A target listing an odd generator it does not contain: its
+        # generator products fall outside its elements.
+        alt5 = alternating_group(5)
+        odd = parse_cycles("(1 2)", 5)
+        target = GeneratedGroup(5, [*alt5.generators, odd], alt5.elements)
+        automorphisms = AmbientAutomorphisms.build(alt5, symmetric_group(5))
+        with pytest.raises(ValueError, match="not an element"):
+            DiagonalGroupData.build(target, automorphisms)
+
+    def test_target_without_identity_first_refused(self):
+        alt5 = alternating_group(5)
+        target = GeneratedGroup(5, alt5.generators, alt5.elements[::-1])
+        automorphisms = AmbientAutomorphisms.build(alt5, symmetric_group(5))
+        with pytest.raises(ValueError, match="identity first"):
+            DiagonalGroupData.build(target, automorphisms)
+
+    def test_alt7_tables_sampled(self):
+        target, ambient = alternating_group(7), symmetric_group(7)
+        automorphisms = AmbientAutomorphisms.build(target, ambient)
+        data = DiagonalGroupData.build(target, automorphisms)
+        elements, index = target.elements, target.index
+        rng = random.Random(7)
+        for _ in range(300):
+            i, j = rng.randrange(2520), rng.randrange(2520)
+            a = ambient.elements[rng.randrange(5040)]
+            assert data.mul[i, j] == index(elements[i] * elements[j])
+            assert data.inv[i] == index(elements[i].inverse())
+            assert data.aut[ambient.index(a), i] == index(elements[i].conj(a))
 
     def test_non_members_refused(self, alt5_data):
         act = DiagonalAction(alt5_data, 1)

@@ -195,6 +195,35 @@ class TestDecide:
         assert proc.returncode == 3
 
     @pytest.mark.parametrize(
+        "group,element,points",
+        [
+            ("sym:100000000", "(1 2)", 100000000),
+            ("alt:40000001", "(1 2 3)", 40000001),
+            ("wreath:2,20000001", "()@()", 40000002),
+        ],
+    )
+    def test_huge_degree_priced_before_any_element(self, group, element, points):
+        # Under a 1.5 GB address-space limit an element of this degree
+        # cannot be built, so a group spec that is not priced first fails
+        # fast with MemoryError instead of taking gigabytes.
+        resource = pytest.importorskip("resource")
+        limit = 1536 * 2**20
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "regcycle", "decide", "--group", group,
+             "--element", element, "--action", "natural"],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == (
+            f"regcycle: group {group} has {points} points, cap is 40000000\n"
+        )
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
         "group,message",
         [
             ("diag:8,1", "diagonal group alt8 tables has 406425600 points, cap is 10000000"),
@@ -757,10 +786,15 @@ class TestExitContract:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(_ARGVS)
-    # The documented cap edges: tables priced past the cap, cosets of
-    # groups past the closure cap, and a listable partition shape of
-    # 1 401 400 points, near the 2 000 000 enumeration cap.
+    # The documented cap edges: tables priced past the cap, the largest
+    # tables under it (diag:7, at one and two copies), cosets of groups
+    # past the closure cap, and a listable partition shape of 1 401 400
+    # points, near the 2 000 000 enumeration cap.
     @example(["decide", "--group", "diag:8,1", "--element", "sigma=();phi=1;m=1",
+              "--action", "diagonal"])
+    @example(["decide", "--group", "diag:7,1", "--element", "sigma=(1 2);phi=2;m=7",
+              "--action", "diagonal"])
+    @example(["decide", "--group", "diag:7,2", "--element", "sigma=(1 2);phi=2;m=7,9",
               "--action", "diagonal"])
     @example(["decide", "--group", "sym:11", "--element", "(1 2)", "--action", "cosets:stab:1"])
     @example(["decide", "--group", "alt:11", "--element", "(1 2 3)",
