@@ -49,6 +49,7 @@ All actions are right actions: apply(g * h, i) == apply(h, apply(g, i)).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Sequence
 
@@ -292,6 +293,20 @@ def partitions_count(block_size: int, block_count: int) -> int:
     )
 
 
+def _partitions_count_within(a: int, b: int, cap: int) -> bool:
+    """Whether partitions_count(a, b) <= cap, from the product over i = 2..b
+    of C(n, a - 1), n = i*a - 1, built one factor at a time: C(n, j + 1) =
+    C(n, j) * (n - j) / (j + 1) is exact and, as j < a - 1 <= n/2, no
+    smaller than C(n, j), so the first partial product past cap decides."""
+    count = 1
+    for i in range(2, b + 1):
+        for j in range(a - 1):
+            count = count * (i * a - 1 - j) // (j + 1)
+            if count > cap:
+                return False
+    return True
+
+
 def _complements(subsets: np.ndarray, m: int) -> np.ndarray:
     """The complement in range(m) of each row of a small-int subset array,
     ascending, in the same dtype.
@@ -365,21 +380,24 @@ class PartitionsAction(Action):
         self.block_size = block_size
         self.block_count = block_count
         self.degree = block_size * block_count
-        self.size = partitions_count(block_size, block_count)
         self.name = f"partitions:{block_size}:{block_count}"
-        self.listable = self.size <= self._ENUM_CAP
+        self.listable = _partitions_count_within(block_size, block_count, self._ENUM_CAP)
         self._enum: np.ndarray | None = None
         self._weights: np.ndarray | None = None
         self._sorted_keys: np.ndarray | None = None
         self._key_order: np.ndarray | None = None
+
+    @functools.cached_property
+    def size(self) -> int:
+        return partitions_count(self.block_size, self.block_count)
 
     def _materialize(self) -> None:
         if self._enum is not None:
             return
         if not self.listable:
             raise ValueError(
-                f"{self.name} has {self.size} points; index-based access "
-                f"is capped at {self._ENUM_CAP}"
+                f"{self.name} has more than {self._ENUM_CAP} points; "
+                "index-based access is capped there"
             )
         self._enum = _uniform_partitions_array(self.block_size, self.block_count)
         self._weights = self.block_count ** np.arange(self.degree, dtype=np.int64)
@@ -430,8 +448,8 @@ class PartitionsAction(Action):
         return frozenset(frozenset(map(image, block)) for block in x)
 
     def point(self, idx: int) -> tuple[tuple[int, ...], ...]:
-        _check_index(self, idx)
         self._materialize()
+        _check_index(self, idx)
         return self.external(self._enum[idx].tolist())
 
     def index(self, pt: Iterable[Iterable[int]]) -> int:

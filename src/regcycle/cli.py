@@ -111,22 +111,16 @@ class GroupContext:
     data: Optional[DiagonalGroupData] = None
 
 
-def _price_diagonal_tables(n: int, cap: int) -> None:
-    """Raise DomainCapError when the |Alt(n)|^2 entries of the
-    DiagonalGroupData multiplication table pass the cap.
-
-    The price is built degree by degree and stops at the first degree k
-    past the cap, so a huge n is priced in bounded time; for k < n the
-    error names alt(k)'s price as a lower bound.
-    """
-    order = 1
-    for k in range(3, n + 1):
-        order *= k  # |Alt(k)| = k!/2
-        if order * order > cap:
-            subject = f"diagonal group alt{k} tables"
-            if k < n:
-                subject += f" (a lower bound for alt{n})"
-            raise DomainCapError(order * order, cap, subject)
+def _factorial_price_past(n: int, cap: int, price) -> Optional[tuple[int, int]]:
+    """The least k <= n at which price(k!) passes cap, with that price, or
+    None. Priced degree by degree, so a huge n stops at the first k past
+    the cap, in bounded time."""
+    factorial = 1
+    for k in range(2, n + 1):
+        factorial *= k
+        if price(factorial) > cap:
+            return k, price(factorial)
+    return None
 
 
 def _price_degree(text: str, points: int, cap: int) -> None:
@@ -176,7 +170,14 @@ def parse_group(text: str, config: RunConfig) -> GroupContext:
         n, copies = _int_pair(rest, ",", text)
         if n < 4 or copies < 1:
             raise SpecError(f"{text!r}: need an alternating degree >= 4 and copies >= 1")
-        _price_diagonal_tables(n, config.domain_cap)
+        # The multiplication table holds |Alt(n)|^2 = (n!/2)^2 entries. A
+        # degree k < n past the cap gives alt(k)'s price as a lower bound.
+        past = _factorial_price_past(n, config.domain_cap, lambda f: (f // 2) ** 2)
+        if past:
+            k, size = past
+            bound = f" (a lower bound for alt{n})" if k < n else ""
+            subject = f"diagonal group alt{k} tables{bound}"
+            raise DomainCapError(size, config.domain_cap, subject)
         target = alternating_group(n)
         ambient = symmetric_group(n)
         data = DiagonalGroupData.build(
@@ -321,24 +322,16 @@ def _build_action(text: str, ctx: GroupContext):
     raise SpecError(f"action {text!r} does not apply to group {ctx.spec!r}")
 
 
-def _price_closure(kind: str, n: int) -> None:
-    """Raise ClosureCapError, before any closure, when |Sym(n)| = n! or
-    |Alt(n)| = n!/2 passes DEFAULT_GROUP_CAP. Priced degree by degree, as in
-    `_price_diagonal_tables`, so a huge n stops at the first k past the cap."""
-    order = 1
-    for k in range(2, n + 1):
-        order *= k
-        size = order // 2 if kind == "alt" else order
-        if size > DEFAULT_GROUP_CAP:
-            raise ClosureCapError(DEFAULT_GROUP_CAP, size)
-
-
 def _materialized(ctx: GroupContext) -> GeneratedGroup:
     if ctx.group is not None:
         return ctx.group
     if ctx.kind not in ("sym", "alt"):
         raise SpecError(f"group {ctx.spec!r} has no coset machinery")
-    _price_closure(ctx.kind, ctx.degree)
+    # |Sym(n)| = n! and |Alt(n)| = n!/2 are priced before any closure.
+    price = (lambda f: f // 2) if ctx.kind == "alt" else (lambda f: f)
+    past = _factorial_price_past(ctx.degree, DEFAULT_GROUP_CAP, price)
+    if past:
+        raise ClosureCapError(DEFAULT_GROUP_CAP, past[1])
     builder = symmetric_group if ctx.kind == "sym" else alternating_group
     ctx.group = builder(ctx.degree)
     return ctx.group

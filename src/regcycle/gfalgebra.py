@@ -147,14 +147,12 @@ class Field:
         return a
 
     def primitive_element(self) -> int:
-        """Least element generating the multiplicative group."""
-        target = self.q - 1
+        """Least element generating the multiplicative group: a generates
+        it exactly when no a^((q-1)/p), p a prime dividing q - 1, is 1."""
+        n = self.q - 1
+        primes = factorize(n).primes
         for a in range(1, self.q):
-            x, n = a, 1
-            while x != 1:
-                x = self._mul[x][a]
-                n += 1
-            if n == target:
+            if all(power(a, n // p, 1, self.mul) != 1 for p in primes):
                 return a
         raise RuntimeError("no primitive element found")
 

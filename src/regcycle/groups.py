@@ -53,9 +53,6 @@ class GeneratedGroup:
             raise ValueError(f"{g!r} is not an element of {self!r}")
         return idx
 
-    def identity(self) -> Permutation:
-        return Permutation.identity(self.degree)
-
     def is_subgroup_of(self, other: "GeneratedGroup") -> bool:
         return self.degree == other.degree and all(g in other for g in self.elements)
 

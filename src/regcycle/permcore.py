@@ -11,6 +11,9 @@ Conventions shared across the package:
 `power` is the one square-and-multiply: every ``**`` on an element, the
 power of an image array and the Frobenius table of a field go through it.
 
+`factorize` is trial division at any size, with no table. `primes_upto`
+and `first_primes` read one sieve up to SIEVE_LIMIT, built on first call.
+
 Orbits of an image array are read two ways. `orbit_partition` walks them,
 in walk order, for cycle notation. `orbit_labels` and `orbit_length_array`
 give each point's orbit minimum and orbit length by numpy pointer doubling,
@@ -310,24 +313,15 @@ def render_cycles(p: Permutation) -> str:
 
 
 @lru_cache(maxsize=None)
-def _spf_table() -> np.ndarray:
-    """Smallest-prime-factor table for 0..SIEVE_LIMIT."""
-    spf = np.zeros(SIEVE_LIMIT + 1, dtype=np.int32)
-    for i in range(2, math.isqrt(SIEVE_LIMIT) + 1):
-        if spf[i] == 0:
-            sl = spf[i * i :: i]
-            sl[sl == 0] = i
-    unset = spf == 0
-    spf[unset] = np.arange(SIEVE_LIMIT + 1, dtype=np.int32)[unset]
-    return spf
-
-
-@lru_cache(maxsize=None)
 def _sieved_primes() -> tuple[int, ...]:
-    """Every prime up to SIEVE_LIMIT, ascending; the only cached prime list."""
-    spf = _spf_table()
-    idx = np.arange(SIEVE_LIMIT + 1)
-    return tuple(idx[(spf == idx) & (idx >= 2)].tolist())
+    """Every prime up to SIEVE_LIMIT, ascending, by a boolean sieve of
+    Eratosthenes built on first use; the only cached prime list."""
+    is_prime = np.ones(SIEVE_LIMIT + 1, dtype=bool)
+    is_prime[:2] = False
+    for i in range(2, math.isqrt(SIEVE_LIMIT) + 1):
+        if is_prime[i]:
+            is_prime[i * i :: i] = False
+    return tuple(np.flatnonzero(is_prime).tolist())
 
 
 def primes_upto(limit: int) -> tuple[int, ...]:
@@ -364,35 +358,25 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Deterministic factorization: table lookups below the sieve limit,
-    trial division by sieved primes above it (supports n up to SIEVE_LIMIT**2)."""
+    """Prime factorization by trial division, at any size: by 2, then by
+    the odd numbers, while the divisor squared is at most what is left,
+    which is then 1 or a prime. The prime factors of an element order are
+    at most the degree, so it tries no divisor past the degree."""
     if n < 1:
         raise ValueError("n must be positive")
     value = n
     pairs: list[tuple[int, int]] = []
-    if n <= SIEVE_LIMIT:
-        spf = _spf_table()
-        while n > 1:
-            p = int(spf[n])
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
             e = 0
-            while n % p == 0:
-                n //= p
+            while n % d == 0:
+                n //= d
                 e += 1
-            pairs.append((p, e))
-    else:
-        if n > SIEVE_LIMIT * SIEVE_LIMIT:
-            raise ValueError("n too large for the precomputed sieve")
-        for p in primes_upto(min(SIEVE_LIMIT, math.isqrt(n) + 1)):
-            if p * p > n:
-                break
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                pairs.append((p, e))
-        if n > 1:
-            pairs.append((n, 1))
+            pairs.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        pairs.append((n, 1))
     return Factorization(tuple(pairs), value)
 
 

@@ -270,6 +270,11 @@ def decide_fix_union(action: Action, g) -> Verdict:
 # k-sets: combinatorial decision and constructive witness
 
 
+# The min_cover DP visits up to 2**t subsets of the order's t maximal prime
+# powers: seconds at t = 20, and each further prime costs about 2.3 times more.
+MIN_COVER_SUBSETS = 1 << 20
+
+
 @lru_cache(maxsize=None)
 def min_cover(parts: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Smallest set of cycle lengths whose lcm equals lcm(parts).
@@ -278,7 +283,8 @@ def min_cover(parts: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     cycles, then the lexicographically smallest ascending length tuple.
     Exact subset-sweep via a bitmask DP over the maximal prime powers of
     the lcm; a length contributes a prime power p^e only when its p-adic
-    valuation is exactly e.
+    valuation is exactly e. Raises DomainCapError, before the DP, when
+    its 2**t subsets pass MIN_COVER_SUBSETS.
     """
     order = 1
     for v in parts:
@@ -287,6 +293,9 @@ def min_cover(parts: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         return 0, ()
     pps = [p**e for p, e in factorize(order).prime_powers]
     t = len(pps)
+    if 1 << t > MIN_COVER_SUBSETS:
+        subject = f"min_cover subset sweep over {t} prime powers"
+        raise DomainCapError(1 << t, MIN_COVER_SUBSETS, subject)
     full = (1 << t) - 1
 
     def mask_of(length: int) -> int:

@@ -7,6 +7,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -249,6 +250,21 @@ class TestKSets:
 
 
 class TestPartitions:
+    def test_listable_without_the_count(self):
+        # 2x8 (2 027 025) and 4x4 (2 627 625) sit just past the cap.
+        cap = PartitionsAction._ENUM_CAP
+        for n in range(4, 17):
+            for a in range(2, n // 2 + 1):
+                if n % a == 0:
+                    act = PartitionsAction(a, n // a)
+                    assert act.listable == (partitions_count(a, n // a) <= cap), (a, n)
+
+    def test_construction_does_not_count(self):
+        start = time.perf_counter()
+        act = PartitionsAction(2, 10**6)
+        assert time.perf_counter() - start < 0.1
+        assert not act.listable and "size" not in vars(act)
+
     def test_counts(self):
         assert partitions_count(2, 2) == 3
         assert partitions_count(3, 2) == 10

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from regcycle import cli
+from regcycle.permcore import first_primes
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,6 +29,17 @@ def run_cli(*args):
         text=True,
         timeout=300,
     )
+
+
+def prime_cycles_argv(count: int, degree: int, action: str) -> list[str]:
+    """decide argv for the element of sym:degree whose cycles, on points
+    1, 2, ... in turn, have the first `count` primes as lengths."""
+    cycles, start = [], 1
+    for p in first_primes(count):
+        cycles.append("(" + " ".join(map(str, range(start, start + p))) + ")")
+        start += p
+    return ["decide", "--group", f"sym:{degree}", "--element", "".join(cycles),
+            "--action", action]
 
 
 class TestDecide:
@@ -122,6 +134,29 @@ class TestDecide:
         assert payload["method"] == "kset_combinatorial"
         assert payload["verdict"] is True
         assert len(payload["witness"]) == 15
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (prime_cycles_argv(12, 198, "ksets:12"), 0),
+            (prime_cycles_argv(12, 198, "partitions:2x99"), 0),
+            (prime_cycles_argv(25, 1062, "ksets:25"), 3),
+        ],
+    )
+    def test_element_orders_past_1e12(self, argv, code):
+        # The first 12 primes multiply past 10**12. The first 25 would take
+        # the min_cover DP over 2**25 subsets, so they are priced first.
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(argv) == code, err.getvalue()
+        if code == 0:
+            payload = json.loads(out.getvalue())
+            assert payload["order"] > 10**12
+            assert payload["verdict"] is True and payload["certified"] is True
+            assert payload["witness"]
+        else:
+            assert out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1
 
     def test_partitions_4x4_past_enumeration(self):
         proc = run_cli(
@@ -788,8 +823,9 @@ class TestExitContract:
     @given(_ARGVS)
     # The documented cap edges: tables priced past the cap, the largest
     # tables under it (diag:7, at one and two copies), cosets of groups
-    # past the closure cap, and a listable partition shape of 1 401 400
-    # points, near the 2 000 000 enumeration cap.
+    # past the closure cap, a listable partition shape of 1 401 400
+    # points, near the 2 000 000 enumeration cap, and element orders past
+    # 10**12, with the min_cover DP priced past its 2**20 subsets.
     @example(["decide", "--group", "diag:8,1", "--element", "sigma=();phi=1;m=1",
               "--action", "diagonal"])
     @example(["decide", "--group", "diag:7,1", "--element", "sigma=(1 2);phi=2;m=7",
@@ -801,6 +837,9 @@ class TestExitContract:
               "--action", "cosets:pair:1,2"])
     @example(["decide", "--group", "sym:15", "--element", "(1 2 3)(4 5)",
               "--action", "partitions:3x5"])
+    @example(prime_cycles_argv(12, 198, "ksets:12"))
+    @example(prime_cycles_argv(12, 198, "partitions:2x99"))
+    @example(prime_cycles_argv(25, 1062, "ksets:25"))
     def test_exit_code_and_clean_stderr(self, argv):
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regcycle import (
@@ -38,6 +39,29 @@ def naive_primes(limit: int) -> list[int]:
             for j in range(i * i, limit + 1, i):
                 flags[j] = False
     return [i for i, f in enumerate(flags) if f]
+
+
+def is_prime_naive(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+_PRIMES_PAST_1E6 = [p for p in range(10**6 + 1, 10**6 + 200, 2) if is_prime_naive(p)]
+
+# Small n, and three families past 10**12 that the factorization must also
+# reach: products of the first 12-15 primes (times a small cofactor), prime
+# powers, and products of two primes above 10**6.
+_FACTORIZE_INPUTS = st.one_of(
+    st.integers(1, 10**7),
+    st.builds(
+        lambda k, c: c * math.prod(naive_primes(47)[:k]),
+        st.integers(12, 15),
+        st.integers(1, 1000),
+    ),
+    st.builds(pow, st.sampled_from(naive_primes(100)), st.integers(1, 80)),
+    st.builds(
+        operator.mul, st.sampled_from(_PRIMES_PAST_1E6), st.sampled_from(_PRIMES_PAST_1E6)
+    ),
+)
 
 
 class TestPermutation:
@@ -168,6 +192,18 @@ class TestPrimes:
         n = 1_000_003 * 2  # prime just above the sieve limit, times two
         f = factorize(n)
         assert f.prime_powers == ((2, 1), (1_000_003, 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_FACTORIZE_INPUTS)
+    @example(math.prod(naive_primes(37)))  # the first 12 primes: past 10**12
+    def test_factorize_matches_naive_oracle(self, n):
+        # Oracle: a factorization is unique, so it is the one whose primes
+        # pass naive division, strictly increase and multiply back to n.
+        pairs = factorize(n).prime_powers
+        primes = [p for p, _ in pairs]
+        assert primes == sorted(set(primes))
+        assert all(is_prime_naive(p) and e >= 1 for p, e in pairs)
+        assert math.prod(p**e for p, e in pairs) == n
 
     def test_nk_threshold(self):
         # Oracle: sums of the first k+1 primes from the independent sieve.

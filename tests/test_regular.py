@@ -47,6 +47,7 @@ from regcycle.permcore import (
     CycleType,
     Permutation,
     cycle_types,
+    first_primes,
     nk_threshold,
     orbit_partition,
     parse_cycles,
@@ -58,6 +59,7 @@ from regcycle.regular import (
     CASE_PADDED_NEAR_FULL,
     DECIDE_TABLE,
     METHODS,
+    MIN_COVER_SUBSETS,
     DomainCapError,
     PartitionCaseError,
     Verdict,
@@ -459,6 +461,18 @@ class TestMinCover:
         assert min_cover((12, 2)) == (1, (12,))
         # lcm(6, 4) = 12: 6 gives the 3, 4 gives the 4.
         assert min_cover((6, 4, 2)) == (2, (4, 6))
+
+    def test_first_18_primes_need_every_cycle(self):
+        primes = first_primes(18)
+        assert min_cover(primes[::-1]) == (18, primes)
+
+    def test_21_prime_powers_priced_before_the_dp(self):
+        # The DP over 2**21 subsets would take several seconds.
+        start = time.perf_counter()
+        with pytest.raises(DomainCapError) as err:
+            min_cover(first_primes(21)[::-1])
+        assert time.perf_counter() - start < 1
+        assert (err.value.size, err.value.cap) == (1 << 21, MIN_COVER_SUBSETS)
 
     @settings(max_examples=200, deadline=None)
     @given(
