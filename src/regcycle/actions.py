@@ -98,6 +98,10 @@ class Action:
     def _check(self, g) -> None:
         """Raise ValueError when g does not fit the action."""
 
+    def size_at_most(self, bound: int) -> bool:
+        """Whether the action has at most bound points."""
+        return self.size <= bound
+
     def element_order(self, g) -> int:
         self._check(g)
         return g.order()
@@ -228,10 +232,21 @@ class KSetsAction(Action):
             raise ValueError(f"k must satisfy 1 <= k <= {degree}, got {k}")
         self.degree = degree
         self.k = k
-        self.size = math.comb(degree, k)
         self.name = f"ksets:{degree}:{k}"
         self._combos: np.ndarray | None = None
         self._binom: np.ndarray | None = None
+        self._at_most: dict[int, bool] = {}
+
+    @functools.cached_property
+    def size(self) -> int:
+        return math.comb(self.degree, self.k)
+
+    def size_at_most(self, bound: int) -> bool:
+        """C(degree, k) <= bound by an early-exit product, so deciding a
+        large action never counts it; each bound's answer is kept."""
+        if bound not in self._at_most:
+            self._at_most[bound] = _binomials_within([(self.degree, self.k)], bound)
+        return self._at_most[bound]
 
     def _unrank(self, idx: int) -> tuple[int, ...]:
         _check_index(self, idx)
@@ -293,18 +308,18 @@ def partitions_count(block_size: int, block_count: int) -> int:
     )
 
 
-def _partitions_count_within(a: int, b: int, cap: int) -> bool:
-    """Whether partitions_count(a, b) <= cap, from the product over i = 2..b
-    of C(n, a - 1), n = i*a - 1, built one factor at a time: C(n, j + 1) =
-    C(n, j) * (n - j) / (j + 1) is exact and, as j < a - 1 <= n/2, no
-    smaller than C(n, j), so the first partial product past cap decides."""
+def _binomials_within(terms: Iterable[tuple[int, int]], cap: int) -> bool:
+    """Whether the product of C(n, k) over terms is at most cap, built one
+    factor at a time: C(n, j + 1) = C(n, j) * (n - j) / (j + 1) is exact
+    and, as j < min(k, n - k) <= n/2, no smaller than C(n, j), so the first
+    partial product past cap decides."""
     count = 1
-    for i in range(2, b + 1):
-        for j in range(a - 1):
-            count = count * (i * a - 1 - j) // (j + 1)
+    for n, k in terms:
+        for j in range(min(k, n - k)):
+            count = count * (n - j) // (j + 1)
             if count > cap:
                 return False
-    return True
+    return count <= cap
 
 
 def _complements(subsets: np.ndarray, m: int) -> np.ndarray:
@@ -381,7 +396,11 @@ class PartitionsAction(Action):
         self.block_count = block_count
         self.degree = block_size * block_count
         self.name = f"partitions:{block_size}:{block_count}"
-        self.listable = _partitions_count_within(block_size, block_count, self._ENUM_CAP)
+        # partitions_count(a, b) is the product of C(i*a - 1, a - 1), i = 2..b.
+        self.listable = _binomials_within(
+            ((i * block_size - 1, block_size - 1) for i in range(2, block_count + 1)),
+            self._ENUM_CAP,
+        )
         self._enum: np.ndarray | None = None
         self._weights: np.ndarray | None = None
         self._sorted_keys: np.ndarray | None = None

@@ -7,6 +7,8 @@ a certified gap of at least the stated margin; "fail" means the claim is
 certainly violated; anything the intervals cannot separate is
 "inconclusive". Wide sweeps over n use vectorized float64 with a
 conservative error allowance folded into the reported gap.
+Precision-only values (exact constants, their logs, k pi, j(log j - 1))
+are made once per precision, so every endpoint keeps a fresh evaluation's bits.
 
 Two checks filter cheaply first and escalate only what the filter cannot
 decide (the adaptive scheme of Shewchuk 1997), so every line they return is
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterable, Optional, Sequence
 
 import mpmath
@@ -68,11 +70,31 @@ class _Prec:
         return False
 
 
+def _per_precision(fn):
+    """Memoize on (iv.prec, *args), so a value is read only at its own precision."""
+    cached = lru_cache(maxsize=256)(lambda prec, *args: fn(*args))
+    wrapper = wraps(fn)(lambda *args: cached(iv.prec, *args))
+    wrapper.cache_clear = cached.cache_clear
+    return wrapper
+
+
+@_per_precision
 def _ivf(x) -> "iv.mpf":
     """Exact interval from an int or Fraction."""
     if isinstance(x, Fraction):
         return iv.mpf(x.numerator) / iv.mpf(x.denominator)
     return iv.mpf(x)
+
+
+@_per_precision
+def _log_of(x) -> "iv.mpf":
+    """log of an int or Fraction."""
+    return iv.log(_ivf(x))
+
+
+@_per_precision
+def _pi_times(k: int) -> "iv.mpf":
+    return k * iv.pi
 
 
 def _gap_low(lhs, rhs) -> float:
@@ -227,10 +249,8 @@ def landau_exact(m: int) -> int:
     return _landau_table(max(m, 1))[m]
 
 
-def _massias_upper(m: int):
-    """Interval value of the explicit upper estimate for log(max order)."""
-    mi = iv.mpf(m)
-    lm = iv.log(mi)
+def _massias_upper(mi, lm):
+    """Explicit upper estimate for log(max order), from intervals m, log m."""
     return iv.sqrt(mi * lm) * (1 + (iv.log(lm) - _ivf(Fraction(975, 1000))) / (2 * lm))
 
 
@@ -243,8 +263,8 @@ def massias_check(m: int, margin: float = MARGIN) -> CheckLine:
         raise ValueError("estimate needs m >= 3")
     with _Prec(260):
         lhs = iv.log(iv.mpf(landau_exact(m)))
-        rhs = _massias_upper(m)
-        return _compare(f"massias:{m}", lhs, rhs, margin)
+        mi = iv.mpf(m)
+        return _compare(f"massias:{m}", lhs, _massias_upper(mi, iv.log(mi)), margin)
 
 
 def massias_sweep(lo: int = 4, hi: int = 200, margin: float = MARGIN) -> SweepReport:
@@ -260,13 +280,13 @@ def _stirling_gaps_overflow(n: int, fact: int) -> bool:
     """Both linear gaps of the factorial brackets certainly exceed e 2^1024."""
     with _Prec(260):
         ni = iv.mpf(n)
-        log_base = iv.log(2 * iv.pi * ni) / 2 + ni * (iv.log(ni) - 1)
+        log_base = iv.log(_pi_times(2) * ni) / 2 + ni * (iv.log(ni) - 1)
         log_fact = iv.log(iv.mpf(fact))
         d_low = log_fact - (log_base + 1 / (12 * ni + 1))
         d_up = log_base + 1 / (12 * ni) - log_fact
         if not (d_low.a > 0 and d_up.a > 0):
             return False
-        floor = (1024 * iv.log(iv.mpf(2)) + 1).b
+        floor = (1024 * _log_of(2) + 1).b
         return ((log_fact + iv.log(1 - iv.exp(-d_low))).a > floor
                 and (log_fact + iv.log(d_up)).a > floor)
 
@@ -292,7 +312,7 @@ def stirling_check(n: int, margin: float = MARGIN) -> CheckLine:
     bits = max(260, int(1.2 * fact.bit_length()) + 64)
     with _Prec(bits):
         ni = iv.mpf(n)
-        base = iv.sqrt(2 * iv.pi * ni) * iv.exp(ni * (iv.log(ni) - 1))
+        base = iv.sqrt(_pi_times(2) * ni) * iv.exp(ni * (iv.log(ni) - 1))
         lower = base * iv.exp(1 / (12 * ni + 1))
         upper = base * iv.exp(1 / (12 * ni))
         f = iv.mpf(fact)
@@ -322,6 +342,7 @@ def technical_inequality_alphas() -> tuple[Fraction, ...]:
     )
 
 
+@_per_precision
 def _xlogx_minus_x(j: int):
     """j(log j - 1) as an interval at the current precision, with 0 log 0 = 0."""
     if j == 0:
@@ -350,7 +371,7 @@ def technical_check(
         raise ValueError("r exceeds alpha * m")
     with _Prec(260):
         lhs = (
-            iv.mpf(k) * iv.log(iv.mpf(p))
+            iv.mpf(k) * _log_of(p)
             + _xlogx_minus_x(r)
             + _xlogx_minus_x(k)
             - _xlogx_minus_x(m)
@@ -383,10 +404,6 @@ def technical_sweep(
     half = np.array([float((a - 1) / 2) for a in alphas])[:, None]
     lines = []
     with _Prec(260):
-        log_p = {p: iv.log(iv.mpf(p)) for p in primes}
-        # Cached for this sweep only, where every value is at 260 bits.
-        xlx = lru_cache(maxsize=None)(_xlogx_minus_x)
-
         for m in range(lo, hi + 1):
             pk = [(p, k) for p in primes for k in range(1, m // p + 1)]
             if not pk:
@@ -412,7 +429,7 @@ def technical_sweep(
                 ~(low >= margin) | (low <= high.min(axis=1, keepdims=True))
             )
 
-            m_term = xlx(m)
+            m_term = _xlogx_minus_x(m)
             for a in np.flatnonzero(escalate.any(axis=1)):
                 alpha = alphas[a]
                 rhs = (_ivf(alpha) - 1) / 2 * m_term
@@ -420,7 +437,8 @@ def technical_sweep(
                 for i in np.flatnonzero(escalate[a]):
                     p, k = pk[i]
                     r = m - k * p
-                    lhs = iv.mpf(k) * log_p[p] + xlx(r) + xlx(k) - m_term
+                    lhs = (iv.mpf(k) * _log_of(p) + _xlogx_minus_x(r)
+                           + _xlogx_minus_x(k) - m_term)
                     line = _compare(
                         f"technical:m={m},p={p},k={k},a={alpha}",
                         lhs,
@@ -457,29 +475,28 @@ def spanning_count(m: int) -> int:
 ALPHA_BETA_MIN_M = 7
 
 
-def _alpha_interval(m: int):
+def _alpha_interval(mi, lm):
     """Prime-divisor bound applied to the upper estimate of log(max order)."""
-    up = _massias_upper(m)
+    up = _massias_upper(mi, lm)
     return up / (iv.log(up) - _ivf(ROBIN_SHIFT))
 
 
-def _log_beta_interval(m: int, exact_constant: bool):
+def _log_beta_interval(m: int, mi, lm, exact_constant: bool):
     """log of the decay factor multiplying the spanning count.
 
     The leading constant is 1.2, or in the exact form
     e^(1/12) * e^(1/12) / e^(1/(12m+1)) which dominates the factorial
     bracket ratio for every m.
     """
-    mi = iv.mpf(m)
     if exact_constant:
         log_const = 2 * _ivf(Fraction(1, 12)) - 1 / (12 * mi + 1)
     else:
-        log_const = iv.log(_ivf(Fraction(12, 10)))
+        log_const = _log_of(Fraction(12, 10))
     return (
         log_const
-        + iv.log(16 * iv.pi * mi / 7) / 2
+        + iv.log(_pi_times(16) * mi / 7) / 2
         + iv.log(iv.mpf(spanning_count(m)))
-        - _ivf(Fraction(3, 14)) * mi * (iv.log(mi) - 1)
+        - _ivf(Fraction(3, 14)) * mi * (lm - 1)
     )
 
 
@@ -514,10 +531,12 @@ def _alpha_beta(m: int, margin: float, exact_constant: bool):
     if m < ALPHA_BETA_MIN_M:
         raise ValueError(f"alpha_m needs m >= {ALPHA_BETA_MIN_M}")
     with _Prec(300):
-        alpha = _alpha_interval(m)
-        log_beta = _log_beta_interval(m, exact_constant)
+        mi = iv.mpf(m)
+        lm = iv.log(mi)
+        alpha = _alpha_interval(mi, lm)
+        log_beta = _log_beta_interval(m, mi, lm, exact_constant)
         total = iv.log(alpha) + log_beta
-        line = _compare(f"alpha_beta:{m}", total, iv.mpf(0), margin)
+        line = _compare(f"alpha_beta:{m}", total, _ivf(0), margin)
         row = AlphaBetaRow(
             m=m,
             n_value=spanning_count(m),
@@ -572,14 +591,15 @@ def wreath_case_bound(c: int, copies: int, d: int,
         raise ValueError(f"domain too small (m = {m} <= 144)")
     with _Prec(300):
         mi = iv.mpf(m)
+        lm = iv.log(mi)
         lhs = (
-            iv.log(_ivf(Fraction(24, 10)))
-            + iv.log(2 * iv.pi * mi) / 2
+            _log_of(Fraction(24, 10))
+            + iv.log(_pi_times(2) * mi) / 2
             + copies * iv.log(iv.mpf(math.factorial(c)))
             + iv.log(iv.mpf(math.factorial(copies)))
-            + iv.log(_alpha_interval(m))
+            + iv.log(_alpha_interval(mi, lm))
         )
-        rhs = mi / c * (iv.log(mi) - 1)
+        rhs = mi / c * (lm - 1)
         return _compare(f"wreath_case:c={c},l={copies},d={d}", lhs, rhs, margin)
 
 
@@ -623,7 +643,7 @@ def e8_demo(q: int, margin: float = MARGIN) -> CheckLine:
     if len(fac.primes) != 1:
         raise ValueError(f"{q} is not a prime power")
     with _Prec(260):
-        lhs = 58 * iv.log(iv.mpf(q)) / iv.log(iv.mpf(2))
+        lhs = 58 * iv.log(iv.mpf(q)) / _log_of(2)
         rhs = iv.mpf(q**8 * (q**4 - 1))
         return _compare(f"e8:{q}", lhs, rhs, margin)
 

@@ -999,7 +999,7 @@ def _constructive_proof(action: PartitionsAction, g: Permutation) -> Verdict:
 
 def _listed_within(factor: int):
     """Row condition: the action can list its points, at most factor * cap."""
-    return lambda action, g, cap: action.listable and action.size <= factor * cap
+    return lambda action, g, cap: action.listable and action.size_at_most(factor * cap)
 
 
 def _kset_applies(action: Action, g, cap: int) -> bool:

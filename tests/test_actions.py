@@ -248,6 +248,22 @@ class TestKSets:
         with pytest.raises(ValueError):
             act.index((0, 3))
 
+    def test_size_at_most_without_the_count(self):
+        for n in range(1, 31):
+            for k in range(1, n + 1):
+                size = math.comb(n, k)
+                for bound in (size - 1, size, size + 1, 1, 10**7):
+                    act = KSetsAction(n, k)
+                    assert act.size_at_most(bound) == (size <= bound), (n, k, bound)
+                    assert "size" not in vars(act)
+
+    def test_construction_does_not_count(self):
+        start = time.perf_counter()
+        act = KSetsAction(400_000, 200_000)
+        assert not act.size_at_most(10**7)
+        assert time.perf_counter() - start < 0.1
+        assert "size" not in vars(act)
+
 
 class TestPartitions:
     def test_listable_without_the_count(self):
@@ -864,8 +880,9 @@ class TestDiagonal:
             assert view[len(flat) - 1] == table.flat[-1]
 
     def test_tables_of_a_degree_10_target(self):
-        # PSL(2, 9) on the projective line: keys in base 10, checked on a
-        # seeded sample of entries.
+        # PSL(2, 9) on the 10 points of the projective line: its product,
+        # inverse and automorphism tables agree with permutation products,
+        # inverses and conjugates on a seeded sample of 300 entries.
         target, ambient = psl2(9), pgammal2_9()
         automorphisms = AmbientAutomorphisms.build(target, ambient)
         data = DiagonalGroupData.build(target, automorphisms)

@@ -4,6 +4,7 @@ Independent oracles: exact integer computations (factorials, lcm tables,
 prime counts) and literature values for the largest permutation order.
 """
 
+import hashlib
 import math
 import os
 from fractions import Fraction
@@ -41,6 +42,55 @@ from regcycle.bounds import (
     wreath_case_bound,
 )
 from regcycle.permcore import factorize
+
+
+def digest(values) -> str:
+    """sha256 over the repr of each value, one per line."""
+    return hashlib.sha256("\n".join(map(repr, values)).encode()).hexdigest()
+
+
+def alpha_beta_rows(hi: int) -> list:
+    return [alpha_beta_row(m, exact_constant=exact)
+            for exact in (False, True) for m in range(47, hi + 1)]
+
+
+WREATH_EXAMPLES = ((10, 1, 5), (6, 2, 3))
+
+# digest() of every row and line as evaluated with no constant cached: a
+# cache must keep every endpoint's bits. The reprs hold each field, floats
+# in round-trip form.
+PINNED_BOUNDS = {
+    "alpha_beta_row 47..600": (
+        lambda: alpha_beta_rows(600),
+        "feb7c88a716b7f922e568f19b2b585638d0ea518e5d79e701eda05bff8d8d865"),
+    "technical_sweep 3..60": (
+        lambda: technical_sweep(3, 60).lines,
+        "47ee5533630a0b6ef0f060db5079209bc4f2852e0c88feb13f41d4becd4988cb"),
+    "stirling_sweep 1..200": (
+        lambda: stirling_sweep(1, 200).lines,
+        "96558f38b28658ba4739b558e3667c0ecce712012af84fa4ff3640845dfdeeb9"),
+    "massias_sweep 4..200": (
+        lambda: massias_sweep(4, 200).lines,
+        "cb00fd570127c40a1471259c3f1ad33a62327ceef9fccfb10556539792e553b5"),
+    "e8_sweep 1024": (
+        lambda: e8_sweep(1024).lines,
+        "821c14b9587e1ac800f92101da4c1ee40105e5ffa92a36ddcabca09718b1bafd"),
+    "wreath_case_bound examples": (
+        lambda: [wreath_case_bound(*args) for args in WREATH_EXAMPLES],
+        "89e43140e84ff522e02604741c8524bcaf5cb9ef457ff21841f68160bd7a59fd"),
+    "alpha_beta_row 47..10000": (
+        lambda: alpha_beta_rows(10**4),
+        "f7f45eba61e9503940fc71804f375881394a277653a4eaba5bee1f6e93e603b9"),
+    "technical_sweep 3..200": (
+        lambda: technical_sweep(3, 200).lines,
+        "f1bfd383936a98533a581391a3b66208444b7d84b900166efe0a7f722993feae"),
+    "stirling_sweep 1..1000": (
+        lambda: stirling_sweep(1, 1000).lines,
+        "31ad100361ebd9bdcf4cc050940a62b6624e52e7573ddcfe5976e486276eed92"),
+}
+# The full bounds-all ranges; the 19 908 rows take about 14 s.
+SLOW_PINNED = {"alpha_beta_row 47..10000", "technical_sweep 3..200",
+               "stirling_sweep 1..1000"}
 
 
 class TestOmega:
@@ -362,3 +412,42 @@ class TestGroupProfile:
         with pytest.raises(ValueError):
             group_profile("sporadic", 1)
 
+
+class TestSameBits:
+    @pytest.mark.parametrize(
+        "name",
+        [pytest.param(name, marks=pytest.mark.slow) if name in SLOW_PINNED else name
+         for name in PINNED_BOUNDS],
+    )
+    def test_values_match_the_pinned_digest(self, name):
+        values, expected = PINNED_BOUNDS[name]
+        assert digest(values()) == expected
+
+    def test_interleaved_precisions(self, monkeypatch):
+        """From empty caches, a 260-bit Massias line (bounds-all runs the
+        Massias sweep before the alpha-beta scan), a 300-bit row, the
+        Massias line again, a 1376-bit Stirling line and the row again.
+        Every row and line, and the exact endpoints of every interval
+        compared, are those of a fresh evaluation: a constant made at one
+        precision and read at another changes those endpoints."""
+        for cached in vars(bounds).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
+        compared = []
+        compare = bounds._compare
+
+        def recorded(name, lhs, rhs, *args, **kwargs):
+            compared.append((name, lhs._mpi_, rhs._mpi_))
+            return compare(name, lhs, rhs, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "_compare", recorded)
+        saved = iv.prec
+        results = []
+        for check in (lambda: massias_check(200), lambda: alpha_beta_row(200),
+                      lambda: massias_check(200), lambda: stirling_check(180),
+                      lambda: alpha_beta_row(200)):
+            results.append(check())
+            assert iv.prec == saved
+        assert results[1] == results[4]
+        assert digest(results) == "82f53b360d25c92d72d9d6dc9e5ebc92c4033d44672048caeb3b1dd1ea696e61"
+        assert digest(compared) == "b25bcf4b7aaf3264432a468312a617484876155507d9238d408b0bef9f1442f1"

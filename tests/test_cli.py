@@ -407,9 +407,10 @@ class TestElementText:
             assert cli.parse_element(ctx, str(g)) == g, str(g)
 
 
-# sha256 of each command's TSV stdout at --seed 0: the six fast suites and
-# one scan. A change meant to keep stdout byte-identical keeps these; one
-# meant to change it records them again.
+# sha256 of each command's TSV stdout at --seed 0: the six fast suites, one
+# scan, the bounds table, and the slow diagonal and bounds-all suites. A
+# change meant to keep stdout byte-identical keeps these; one meant to
+# change it records them again.
 STDOUT_DIGESTS = {
     ("verify", "--suite", "ksets"):
         "e9ad1a701f3e43721d485f56c982597290b870dd42d04e8b0185752793b31fa3",
@@ -427,9 +428,13 @@ STDOUT_DIGESTS = {
         "d04e3fc091d2f6350d7d79caac4928f1b1ecb88ca304d2371bfcafefeb6d6c87",
     ("verify", "--suite", "diagonal"):
         "f6838182d0bc02be840f38198a7b33fa8ad3c9084b4e87f55159198f81506a76",
+    ("bounds", "--m", "47..400"):
+        "f0c5835ea92bfa8fe2d17006e0fe81c40aa6e25757f480acb0d485fdb8fcd26a",
+    ("verify", "--suite", "bounds-all"):
+        "ec8d44a74071835a3891065de5ffc73766caab15f30e281b95b44f47ec13d2c7",
 }
 # Digests of runs that take several seconds.
-SLOW_DIGESTS = {("verify", "--suite", "diagonal")}
+SLOW_DIGESTS = {("verify", "--suite", "diagonal"), ("verify", "--suite", "bounds-all")}
 
 
 class TestStdoutDigests:

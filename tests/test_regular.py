@@ -631,6 +631,30 @@ class TestKSetRow:
         assert seen == [("ksets:100:91", tuple(verdict.witness), 210)]
         assert kset_orbit_length(self.G, tuple(verdict.witness)) == 210
 
+    def test_decide_never_counts_the_points(self, monkeypatch):
+        import regcycle.actions as actions
+
+        within = actions._binomials_within
+        calls = []
+
+        def counted(terms, cap):
+            calls.append(cap)
+            return within(terms, cap)
+
+        monkeypatch.setattr(actions, "_binomials_within", counted)
+        # C(40, 8) = 76 904 685 passes both listing rows' bounds.
+        g = parse_cycles("(1 2 3 4 5)(6 7 8)(9 10)", 40)
+        action = KSetsAction(40, 8)
+        verdict = decide(action, g)
+        assert verdict.method == "kset_combinatorial"
+        assert "size" not in vars(action)
+        assert calls == [10**7, 4 * 10**7]
+        # Each bound's answer is kept, so a second decide prices nothing.
+        assert decide(action, g) == verdict and len(calls) == 2
+        counted_first = KSetsAction(40, 8)
+        assert counted_first.size == math.comb(40, 8)
+        assert decide(counted_first, g).to_json() == verdict.to_json()
+
 
 class TestWitnessIsCertifiedPoint:
     """Each witness builder certifies once and prints, as the very object,
