@@ -57,7 +57,7 @@ import numpy as np
 
 from .gfalgebra import AffineMap, Matrix, field_ops
 from .groups import DEFAULT_GROUP_CAP, AmbientAutomorphisms, GeneratedGroup, closure
-from .permcore import Permutation, orbit_labels, power, render_cycles
+from .permcore import Permutation, cycle_power, orbit_labels, power, render_cycles
 
 
 def orbit_lengths(images: Sequence[int]) -> list[int]:
@@ -136,6 +136,42 @@ class Action:
         """The element that acts as g, then h."""
         return g * h
 
+    def _compose(self, g, h):
+        """`compose` of elements known to fit the action, as the squarings
+        of an element checked once are; by default `compose` itself."""
+        return self.compose(g, h)
+
+    def is_identity(self, g) -> bool:
+        """Whether g is the identity element, read off g with no product."""
+        return g.is_identity()
+
+    def certificate_powers(self, g, order: int):
+        """The powers of g that `regular.certify_regular` reads: None when
+        g^order is not the identity, else a function (e, x) -> the image of
+        the internal point x under g^e, for e dividing order.
+
+        By default the squaring ladder g, g^2, g^4, ..., bit_length(order)
+        - 1 compositions by `_compose`. g^order is the product of the
+        squares at the set bits of order, popcount(order) - 1 compositions
+        more, and `is_identity` tests it with none. x then moves through
+        the squares at the set bits of e, popcount(e) moves, and g^e itself
+        is never formed.
+        """
+        squares = [g]
+        for _ in range(order.bit_length() - 1):
+            squares.append(self._compose(squares[-1], squares[-1]))
+        at_bits = [sq for bit, sq in enumerate(squares) if order >> bit & 1]
+        if not self.is_identity(functools.reduce(self._compose, at_bits)):
+            return None
+
+        def image(e: int, x):
+            for bit, sq in enumerate(squares):
+                if e >> bit & 1:
+                    x = self.move(sq, x)
+            return x
+
+        return image
+
     def apply_external(self, g, pt):
         self._check(g)
         return self.external(self.move(g, self.internal(pt)))
@@ -155,10 +191,22 @@ def _check_degree(action, g: Permutation) -> None:
         )
 
 
+def _permutation_powers(action, g: Permutation, order: int):
+    """The `certificate_powers` of the actions whose elements permute
+    {1..degree}, read off g's cycle list: g^order is the identity exactly
+    when every cycle length divides order, and each g^e is built from the
+    same list by `cycle_power`, in O(degree), then moves the point once."""
+    cycles = g.cycles()
+    if any(order % len(cyc) for cyc in cycles):
+        return None
+    return lambda e, x: action.move(cycle_power(cycles, g.degree, e), x)
+
+
 class NaturalAction(Action):
     """The defining action of permutations on {1..degree}."""
 
     _check = _check_degree
+    certificate_powers = _permutation_powers
 
     def __init__(self, degree: int):
         if degree < 1:
@@ -224,6 +272,7 @@ class KSetsAction(Action):
     """
 
     _check = _check_degree
+    certificate_powers = _permutation_powers
 
     def __init__(self, degree: int, k: int):
         if degree < 1:
@@ -388,6 +437,7 @@ class PartitionsAction(Action):
 
     _ENUM_CAP = 2_000_000
     _check = _check_degree
+    certificate_powers = _permutation_powers
 
     def __init__(self, block_size: int, block_count: int):
         if block_size < 2 or block_count < 2:
@@ -529,16 +579,35 @@ class WreathElement:
         return WreathElement(w, tinv)
 
     def __pow__(self, e: int) -> "WreathElement":
-        if e < 0:
-            return self.inverse() ** (-e)
-        return power(self, e, WreathElement.identity(self.base_degree, self.copies))
+        """g^e for any integer e, read off the cycle list of the imprimitive
+        permutation."""
+        return WreathElement._from_imprimitive(self.imprimitive() ** e, self.copies)
+
+    def imprimitive(self) -> Permutation:
+        """The permutation (i, v) -> (top(i), h_i(v)) of copies x base
+        points, pair (i, v) at index i * base_degree + v. It is faithful and
+        multiplies as g does, so it has g's powers and order."""
+        b = self.base_degree
+        return Permutation._raw(tuple(
+            t * b + v for t, h in zip(self.top.images, self.components) for v in h.images
+        ))
+
+    @staticmethod
+    def _from_imprimitive(p: Permutation, copies: int) -> "WreathElement":
+        """The wreath element whose `imprimitive` permutation is p."""
+        b = p.degree // copies
+        rows = [p.images[i * b : (i + 1) * b] for i in range(copies)]
+        return WreathElement(
+            [Permutation._raw(tuple(y % b for y in row)) for row in rows],
+            Permutation._raw(tuple(row[0] // b for row in rows)),
+        )
 
     def is_identity(self) -> bool:
         return self.top.is_identity() and all(c.is_identity() for c in self.components)
 
     def order(self) -> int:
-        """lcm over top cycles of (cycle length) * (order of the cycle product)."""
-        return math.lcm(*(len(cyc) * prod.order() for cyc, prod in self.cycle_products()))
+        """The order of the `imprimitive` permutation, from its cycle list."""
+        return self.imprimitive().order()
 
     def cycle_products(self) -> list[tuple[tuple[int, ...], Permutation]]:
         """(top cycle, product of components along it) for every top cycle."""
@@ -663,6 +732,28 @@ class ProductAction(TupleAction):
             out[s] = np.asarray(comp.images)[d] if grid else comp.images[d]
         return out
 
+    def certificate_powers(self, g: WreathElement, order: int):
+        """Read off the cycle list of g's `imprimitive` permutation P, which
+        is the identity when every cycle length divides order. The tuple d
+        is the set of pairs (i, d_i), at points i * base_degree + d_i, and
+        g^e sends it to their images under P^e: each pair moves e places
+        along its cycle, so no power is built."""
+        b = self.base_degree
+        cycles = g.imprimitive().cycles(include_fixed=True)
+        if any(order % len(cyc) for cyc in cycles):
+            return None
+        place = {v: (cyc, at) for cyc in cycles for at, v in enumerate(cyc)}
+
+        def image(e: int, digits: list) -> list:
+            out = [0] * self.copies
+            for i, d in enumerate(digits):
+                cyc, at = place[i * b + d]
+                y = cyc[(at + e) % len(cyc)]
+                out[y // b] = y % b
+            return out
+
+        return image
+
 
 class VectorsAction(TupleAction):
     """Invertible matrices acting on row vectors of a finite field power.
@@ -723,6 +814,7 @@ class CosetsAction(Action):
     """
 
     _check = _check_degree
+    certificate_powers = _permutation_powers
 
     def __init__(
         self,
@@ -925,7 +1017,7 @@ class DiagonalAction(TupleAction):
         array of the whole point set.
 
         With k the order of sigma, g^k (g, then g^(k-1) by `power` over
-        `compose`, so k <= 3 takes k - 1 compositions) has slot
+        `_compose`, so k <= 3 takes k - 1 compositions) has slot
         permutation sigma^k = 1, so it acts on each coordinate alone, by
         psi_i: t -> phi'(t)·m'_i on the target's n points. As phi' fixes
         the identity, psi_i^j(t) = phi'^j(t)·psi_i^j(1), so psi_i has
@@ -937,7 +1029,7 @@ class DiagonalAction(TupleAction):
         """
         self._check(g)
         k = g.sigma.order()
-        gk = power(g, k - 1, g, self.compose)
+        gk = power(g, k - 1, g, self._compose)
         mul, _, aut = self.data.views
         n = self.radix
         twist = gk.phi * n
@@ -973,9 +1065,13 @@ class DiagonalAction(TupleAction):
         phi_h(phi_g(t)) r_0: conjugation by the ambient element
         rep_g rep_h r_0, read from image tuples. Only the identity
         centralizes the target, so that element is the composite's phi.
+        Both elements are checked; `_compose` is the same product unchecked.
         """
         self._check(g)
         self._check(h)
+        return self._compose(g, h)
+
+    def _compose(self, g: DiagonalElement, h: DiagonalElement) -> DiagonalElement:
         mul, inv, aut = self.data.views
         n = self.radix
         twist = h.phi * n
@@ -990,6 +1086,11 @@ class DiagonalAction(TupleAction):
         product = tuple(r0[rep_h[v]] for v in ambient.elements[g.phi].images)
         phi = ambient.index(Permutation._raw(product))
         return DiagonalElement(g.sigma * h.sigma, phi, m)
+
+    def is_identity(self, g: DiagonalElement) -> bool:
+        """Read off the structure: the identity of the slots, of the
+        automorphisms and of the translations."""
+        return g.sigma.is_identity() and g.phi == self.data.identity_phi and not any(g.m)
 
     def translation(self, parts: Sequence[Permutation]) -> DiagonalElement:
         """Element of the direct-power part, given copies+1 target elements.

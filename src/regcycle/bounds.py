@@ -9,6 +9,9 @@ certainly violated; anything the intervals cannot separate is
 conservative error allowance folded into the reported gap.
 Precision-only values (exact constants, their logs, k pi, j(log j - 1))
 are made once per precision, so every endpoint keeps a fresh evaluation's bits.
+The int and Fraction literals of the alpha-beta, Massias, Stirling-overflow
+and wreath expressions are `_ivf` values in the literal's own operand
+position: the same exact interval that the operator would convert, made once.
 
 Two checks filter cheaply first and escalate only what the filter cannot
 decide (the adaptive scheme of Shewchuk 1997), so every line they return is
@@ -251,7 +254,9 @@ def landau_exact(m: int) -> int:
 
 def _massias_upper(mi, lm):
     """Explicit upper estimate for log(max order), from intervals m, log m."""
-    return iv.sqrt(mi * lm) * (1 + (iv.log(lm) - _ivf(Fraction(975, 1000))) / (2 * lm))
+    return iv.sqrt(mi * lm) * (
+        _ivf(1) + (iv.log(lm) - _ivf(Fraction(975, 1000))) / (_ivf(2) * lm)
+    )
 
 
 def massias_check(m: int, margin: float = MARGIN) -> CheckLine:
@@ -280,14 +285,15 @@ def _stirling_gaps_overflow(n: int, fact: int) -> bool:
     """Both linear gaps of the factorial brackets certainly exceed e 2^1024."""
     with _Prec(260):
         ni = iv.mpf(n)
-        log_base = iv.log(_pi_times(2) * ni) / 2 + ni * (iv.log(ni) - 1)
+        one, twelve = _ivf(1), _ivf(12)
+        log_base = iv.log(_pi_times(2) * ni) / _ivf(2) + ni * (iv.log(ni) - one)
         log_fact = iv.log(iv.mpf(fact))
-        d_low = log_fact - (log_base + 1 / (12 * ni + 1))
-        d_up = log_base + 1 / (12 * ni) - log_fact
+        d_low = log_fact - (log_base + one / (twelve * ni + one))
+        d_up = log_base + one / (twelve * ni) - log_fact
         if not (d_low.a > 0 and d_up.a > 0):
             return False
-        floor = (1024 * _log_of(2) + 1).b
-        return ((log_fact + iv.log(1 - iv.exp(-d_low))).a > floor
+        floor = (_ivf(1024) * _log_of(2) + one).b
+        return ((log_fact + iv.log(one - iv.exp(-d_low))).a > floor
                 and (log_fact + iv.log(d_up)).a > floor)
 
 
@@ -488,15 +494,16 @@ def _log_beta_interval(m: int, mi, lm, exact_constant: bool):
     e^(1/12) * e^(1/12) / e^(1/(12m+1)) which dominates the factorial
     bracket ratio for every m.
     """
+    one = _ivf(1)
     if exact_constant:
-        log_const = 2 * _ivf(Fraction(1, 12)) - 1 / (12 * mi + 1)
+        log_const = _ivf(2) * _ivf(Fraction(1, 12)) - one / (_ivf(12) * mi + one)
     else:
         log_const = _log_of(Fraction(12, 10))
     return (
         log_const
-        + iv.log(_pi_times(16) * mi / 7) / 2
+        + iv.log(_pi_times(16) * mi / _ivf(7)) / _ivf(2)
         + iv.log(iv.mpf(spanning_count(m)))
-        - _ivf(Fraction(3, 14)) * mi * (lm - 1)
+        - _ivf(Fraction(3, 14)) * mi * (lm - one)
     )
 
 
@@ -594,12 +601,12 @@ def wreath_case_bound(c: int, copies: int, d: int,
         lm = iv.log(mi)
         lhs = (
             _log_of(Fraction(24, 10))
-            + iv.log(_pi_times(2) * mi) / 2
-            + copies * iv.log(iv.mpf(math.factorial(c)))
+            + iv.log(_pi_times(2) * mi) / _ivf(2)
+            + _ivf(copies) * iv.log(iv.mpf(math.factorial(c)))
             + iv.log(iv.mpf(math.factorial(copies)))
             + iv.log(_alpha_interval(mi, lm))
         )
-        rhs = mi / c * (lm - 1)
+        rhs = mi / _ivf(c) * (lm - _ivf(1))
         return _compare(f"wreath_case:c={c},l={copies},d={d}", lhs, rhs, margin)
 
 

@@ -273,6 +273,13 @@ class Matrix:
                     aug[r] = [add[v][minus_c[w]] for v, w in zip(aug[r], lead)]
         return Matrix._raw(f, n, n, tuple(v for row in aug for v in row[n:]))
 
+    def is_identity(self) -> bool:
+        """Square, with 1 at the diagonal entries k * (n + 1) and 0 elsewhere."""
+        n = self.cols
+        return self.rows == n and all(
+            v == (i % (n + 1) == 0) for i, v in enumerate(self.entries)
+        )
+
     def is_invertible(self) -> bool:
         try:
             self.inverse()
@@ -389,6 +396,9 @@ class AffineMap:
         return AffineMap._raw(lin, tuple([add[a][b] for a, b in zip(trans, other.translation)]))
 
     __mul__ = compose
+
+    def is_identity(self) -> bool:
+        return self.linear.is_identity() and not any(self.translation)
 
     def embed(self) -> Matrix:
         """Block matrix [[linear, 0], [translation, 1]] of size d+1.

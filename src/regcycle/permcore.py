@@ -8,8 +8,10 @@ Conventions shared across the package:
   1-indexed;
 * cycle types include fixed points, so the parts of a type sum to the degree.
 
-`power` is the one square-and-multiply: every ``**`` on an element, the
-power of an image array and the Frobenius table of a field go through it.
+`power` is the one square-and-multiply: the ``**`` of a matrix, the power
+of an image array and the Frobenius table of a field go through it. A
+`Permutation` has a cheaper power: `cycle_power` reads g^e off its cycle
+list in O(degree), for any integer e, and ``**`` is that read.
 
 `factorize` is trial division at any size, with no table. `primes_upto`
 and `first_primes` read one sieve up to SIEVE_LIMIT, built on first call.
@@ -56,9 +58,19 @@ def power(x, e: int, one, mul=operator.mul):
 
 
 class Permutation:
-    """A permutation of {0, ..., n-1}, stored as its tuple of images."""
+    """A permutation of {0, ..., n-1}, stored as its tuple of images.
+
+    The last permutation whose cycles were walked keeps its cycle list in
+    `_last_walk`, so a caller that takes g's cycles and the regular-cycle
+    certificate that then reads them share one walk, while no element
+    holds its list past the next walk of another. The pair is replaced in
+    its one-item list, not rebound on the class: writing a class attribute
+    would invalidate the interpreter's attribute caches for every
+    permutation.
+    """
 
     __slots__ = ("images", "_hash")
+    _last_walk: list = [(None, ())]
 
     def __init__(self, images: Sequence[int]):
         images = tuple(images)
@@ -117,9 +129,8 @@ class Permutation:
         return Permutation._raw(tuple(inv))
 
     def __pow__(self, n: int) -> "Permutation":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return power(self, n, Permutation.identity(self.degree))
+        """g^n for any integer n, read off the cycle list by `cycle_power`."""
+        return cycle_power(self.cycles(), self.degree, n)
 
     def conj(self, c: "Permutation") -> "Permutation":
         """Conjugate ``c^-1 * self * c``."""
@@ -132,12 +143,15 @@ class Permutation:
         return sum(len(c) - 1 for c in self.cycles(include_fixed=False)) % 2 == 0
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Cycle decomposition, 0-indexed, each cycle starting at its least point."""
-        return [
-            tuple(orbit)
-            for orbit in orbit_partition(self.images)
-            if include_fixed or len(orbit) > 1
-        ]
+        """Cycle decomposition, 0-indexed, each cycle starting at its least
+        point: a new list each call."""
+        last, cycles = Permutation._last_walk[0]
+        if last is not self:
+            cycles = [tuple(orbit) for orbit in orbit_partition(self.images)]
+            Permutation._last_walk[0] = (self, cycles)
+        if include_fixed:
+            return list(cycles)
+        return [cyc for cyc in cycles if len(cyc) > 1]
 
     def cycle_type(self) -> "CycleType":
         return CycleType.from_permutation(self)
@@ -162,6 +176,20 @@ class Permutation:
 
     def __str__(self) -> str:
         return render_cycles(self)
+
+
+def cycle_power(cycles: Iterable[Sequence[int]], degree: int, e: int) -> Permutation:
+    """g^e from the 0-indexed cycles of g (fixed points may be left out)
+    on `degree` points: each cycle c sends c[i] to c[(i + e) % len(c)].
+    One pass over the list, O(degree), for any integer e; a negative e
+    needs no inverse, as e % len(c) is the forward shift."""
+    images = list(range(degree))
+    for cyc in cycles:
+        shift = e % len(cyc)
+        if shift:
+            for x, y in zip(cyc, cyc[shift:] + cyc[:shift]):
+                images[x] = y
+    return Permutation._raw(tuple(images))
 
 
 def orbit_partition(images: Sequence[int]) -> list[list[int]]:

@@ -3,16 +3,19 @@
 An orbit of a point under an element g is a regular cycle when its length
 equals the abstract order of g. Everything here either decides whether such
 an orbit exists for a given induced action, or constructs one explicitly and
-certifies it with `certify_regular`: a point lies on a regular cycle exactly
-when no power g^(|g|/p), with p a prime dividing |g|, fixes it, and those
-powers are applied from shared squarings of g, so the check never walks the
-orbit. The certificate checks the witness once, with the action's
-`internal`, moves it in that internal form, and returns the action's
-`external` form of the point it checked. Every construction prints that
-return value, so a printed witness is the point that was certified, in
-the action's one canonical order. Certification failures, a witness that
-is not a point among them, raise AssertionError: a construction is never
-allowed to return silently wrong.
+certifies it with `certify_regular`. The certificate trusts no order it is
+given: it proves g^order = 1 on the element itself, then that no power
+g^(order/p), with p a prime dividing order, fixes the point, so order is
+|g| and the point's orbit has length |g|. The action's
+`certificate_powers` supplies those powers, read off the cycle list for
+permutations and wreath elements and from one squaring ladder otherwise,
+so the check never walks the orbit. The certificate checks the witness
+once, with the action's `internal`, moves it in that internal form, and
+returns the action's `external` form of the point it checked. Every
+construction prints that return value, so a printed witness is the point
+that was certified, in the action's one canonical order. Certification
+failures, a witness that is not a point among them, raise AssertionError:
+a construction is never allowed to return silently wrong.
 
 `decide` runs the first row of one ordered table, DECIDE_TABLE, that applies
 to the action and element: the two enumerating deciders while the action is
@@ -71,6 +74,7 @@ from .permcore import (
     nk_threshold,
     orbit_labels,
     orbit_length_array,
+    power,
 )
 
 METHODS = (
@@ -163,19 +167,23 @@ def _verdict(
 
 
 def certify_regular(action: Action, g, pt, order: int):
-    """Assert that the external point pt lies on a g-cycle of length `order`,
-    and return `action.external` of the point checked.
+    """Assert that order is the order of g and that the external point pt
+    lies on a g-cycle of that length, and return `action.external` of the
+    point checked.
 
     pt may be in any form that action.internal accepts; anything that is
     not a point of the action raises AssertionError. The return value is
     the point in the action's canonical external form, which the witness
-    builders print as it is. g and pt are checked once, and the point is
-    then moved in the action's internal form. Its orbit length divides
-    `order` when g^order fixes it, and equals `order` when, besides, no
-    g^(order/p) with p a prime dividing `order` fixes it.
-    The powers act through the shared squarings g, g^2, g^4, ..., so the
-    check costs bit_length(order) - 1 compositions and popcount(e) moves
-    per exponent e checked, never a walk of the orbit.
+    builders print as it is. g and pt are checked once. Two checks follow,
+    on the powers that `action.certificate_powers` supplies. g^order is
+    the identity on the element, so |g| divides order; and no g^(order/p),
+    p a prime dividing order, fixes the point, so neither does g^(|g|/p)
+    unless |g| = order, and the orbit length is order. A permutation
+    answers both from one walk of its cycle list, and builds each g^e from
+    it in O(degree) for one move; a wreath element walks its imprimitive
+    permutation and moves each pair e places along its cycle. Other
+    elements square once, form g^order from those squares and move the
+    point popcount(e) times per exponent e. No check walks the orbit.
     """
     action._check(g)
     # Raised explicitly, so that the checks also run under python -O.
@@ -183,21 +191,11 @@ def certify_regular(action: Action, g, pt, order: int):
         x = action.internal(pt)
     except ValueError as exc:
         raise AssertionError(f"{pt} is not a point of {action.name}: {exc}") from exc
-    squares = [g]
-    for _ in range(order.bit_length() - 1):
-        squares.append(action.compose(squares[-1], squares[-1]))
-
-    def image(e: int):
-        out = x
-        for bit, sq in enumerate(squares):
-            if e >> bit & 1:
-                out = action.move(sq, out)
-        return out
-
-    if image(order) != x:
-        raise AssertionError(f"g^{order} moves the point {pt}")
+    image = action.certificate_powers(g, order)
+    if image is None:
+        raise AssertionError(f"g^{order} is not the identity: it moves some point")
     for p in factorize(order).primes:
-        if image(order // p) == x:
+        if image(order // p, x) == x:
             raise AssertionError(f"g^({order}/{p}) fixes the point {pt}")
     return action.external(x)
 
@@ -679,11 +677,12 @@ def product_witness(
     if base_degree < 2:
         raise ValueError("base domain needs at least 2 points")
     g = WreathElement(tuple(perms), top)
-    order = g.order()
+    products = [(cyc, prod, prod.order()) for cyc, prod in g.cycle_products()]
+    # The order of g: the lcm over top cycles of length times product order.
+    order = math.lcm(*(len(cyc) * prod_order for cyc, _, prod_order in products))
     out = [0] * copies
-    for cyc, prod in g.cycle_products():
+    for cyc, prod, prod_order in products:
         r = len(cyc)
-        prod_order = prod.order()
         hint = hints[cyc[0]]
         delta = 0 if hint is None else hint - 1
         if not 0 <= delta < base_degree:
@@ -731,17 +730,19 @@ class SpanningSet:
 
 
 def confirmed_order(m: Matrix, order: int) -> int:
-    """Return `order` once m ** order is checked to be the identity.
+    """Return `order` once m^order is checked to be the identity.
 
-    The linear witnesses read `order` as the lcm of the orbit lengths of
-    m's action on all vectors. Each orbit length divides the order of m,
-    and the action is faithful, so the lcm divides the order; the power,
-    O(log order) products, shows the order divides the lcm. Raises
-    ValueError when m is singular and AssertionError when m is invertible
-    but m ** order is not the identity. Both are explicit raises, so the
-    check also runs under python -O.
+    `gl_regular_vector_set` reads `order` as the lcm of the orbit lengths
+    of m's action on all vectors, and certifies no single point, so
+    `certify_regular` does not check it. Each orbit length divides the
+    order of m, and the action is faithful, so the lcm divides the order;
+    the power, by `power` from one identity, O(log order) products, shows
+    the order divides the lcm. Raises ValueError when m is singular and
+    AssertionError when m is invertible but m^order is not the identity.
+    Both are explicit raises, so the check also runs under python -O.
     """
-    if m ** order != Matrix.identity(m.field, m.rows):
+    one = Matrix.identity(m.field, m.rows)
+    if power(m, order, one) != one:
         if not m.is_invertible():
             raise ValueError("matrix is singular")
         raise AssertionError(f"m^{order} is not the identity")
@@ -774,13 +775,13 @@ def affine_witness(f: AffineMap) -> tuple[int, ...]:
     action index order, on a full-length orbit of f's own action.
 
     The affine action is faithful, so the order of f is the lcm of its
-    orbit lengths, confirmed by `confirmed_order` on the embedded matrix,
-    whose order is the map's. A map with no regular vector raises
-    ValueError.
+    orbit lengths. `certify_regular` proves it: its one squaring ladder
+    forms f^order and finds it the identity. A map with no regular vector
+    raises ValueError.
     """
     action = AffineVectorsAction(f.dimension, f.field.q)
     lengths = orbit_length_array(action.induced_images(f))
-    order = confirmed_order(f.embed(), math.lcm(*set(lengths.tolist())))
+    order = math.lcm(*set(lengths.tolist()))
     found = np.flatnonzero(lengths == order)
     if found.size == 0:
         raise ValueError("no regular affine vector exists for this map")

@@ -105,6 +105,33 @@ class TestPermutation:
         assert p**-1 == p.inverse()
         assert p**10 == (p**5) * (p**5)
 
+    def test_one_kept_cycle_list(self, monkeypatch):
+        import regcycle.permcore as permcore
+
+        walk = permcore.orbit_partition
+        walked = []
+
+        def counted(images):
+            walked.append(tuple(images))
+            return walk(images)
+
+        monkeypatch.setattr(permcore, "orbit_partition", counted)
+        g = parse_cycles("(1 2 3)(4 5)", 6)
+        h = parse_cycles("(1 6)", 6)
+        assert g.cycles() == [(0, 1, 2), (3, 4)] and g.order() == 6
+        assert g.cycle_type().parts == (3, 2, 1) and g**2 == parse_cycles("(1 3 2)", 6)
+        assert walked == [g.images]
+        # The next walk replaces the kept list, so each element walks again.
+        assert h.cycles(include_fixed=True) == [(0, 5), (1,), (2,), (3,), (4,)]
+        assert g.cycles() == [(0, 1, 2), (3, 4)]
+        assert walked == [g.images, h.images, g.images]
+        # Each call returns a new list: changing one changes no later one.
+        g.cycles().clear()
+        g.cycles(include_fixed=True).append((9,))
+        assert g.cycles(include_fixed=True) == [(0, 1, 2), (3, 4), (5,)]
+        # An equal element is another object, walked on its own.
+        assert Permutation(g.images).order() == 6 and len(walked) == 4
+
     def test_alt7_example(self):
         p = parse_cycles("(1 2 3)(4 5)(6 7)", 7)
         assert p.order() == 6
@@ -324,6 +351,24 @@ def power_cases():
     ]
 
 
+def perm_elements():
+    return st.integers(1, 12).flatmap(
+        lambda n: st.permutations(list(range(n))).map(Permutation)
+    )
+
+
+def wreath_elements():
+    def build(base, copies):
+        comps = st.lists(
+            st.permutations(list(range(base))).map(Permutation),
+            min_size=copies, max_size=copies,
+        )
+        top = st.permutations(list(range(copies))).map(Permutation)
+        return st.builds(WreathElement, comps, top)
+
+    return st.tuples(st.integers(2, 4), st.integers(1, 3)).flatmap(lambda bc: build(*bc))
+
+
 class TestPower:
     @pytest.mark.parametrize("case", range(5))
     def test_elements_match_repeated_multiplication(self, case):
@@ -336,6 +381,21 @@ class TestPower:
             assert power(g, e, g) == g * expected, e
             assert g**e == expected, e
         assert g**order == one and g ** (order + 1) == g
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(perm_elements(), wreath_elements()))
+    def test_cycle_list_powers_match_the_ladder(self, g):
+        # ** on a permutation or a wreath element reads the cycle list; the
+        # oracle is `power`, square and multiply by the element's own *.
+        if isinstance(g, Permutation):
+            one = Permutation.identity(g.degree)
+        else:
+            one = WreathElement.identity(g.base_degree, g.copies)
+        inv = g.inverse()
+        order = g.order()
+        for e in range(-2 * order, 2 * order + 1):
+            expected = power(g, e, one) if e >= 0 else power(inv, -e, one)
+            assert g**e == expected, e
 
     @pytest.mark.parametrize("case", range(5))
     def test_negative_exponent_goes_through_inverse(self, case):

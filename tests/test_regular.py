@@ -440,6 +440,134 @@ class TestCertifyRegular:
         assert_regular_partition(g, w, 3, 10)
 
 
+def certificate_cases(alt5_diagonal):
+    """(action, g) pairs of every element type the certificate powers: the
+    permutation actions and the wreath element through cycle lists, the
+    matrices, affine maps and diagonal elements through the ladder."""
+    gf5, gf3 = field_ops(5), field_ops(3)
+    diag = DiagonalAction(alt5_diagonal, 1)
+    return [
+        (NaturalAction(5), parse_cycles("(1 2)(3 4 5)", 5)),
+        (KSetsAction(7, 3), parse_cycles("(1 2 3 4)(5 6)", 7)),
+        (PartitionsAction(2, 3), parse_cycles("(1 2 3)(4 5)", 6)),
+        (
+            ProductAction(3, 2),
+            WreathElement([parse_cycles("(1 2 3)", 3), parse_cycles("(1 2)", 3)], Permutation.identity(2)),
+        ),
+        (
+            ProductAction(3, 3),
+            WreathElement(
+                [parse_cycles("(1 2)", 3), Permutation.identity(3), parse_cycles("(2 3)", 3)],
+                parse_cycles("(1 2)", 3),
+            ),
+        ),
+        (VectorsAction(2, 5), Matrix.from_rows(gf5, [[2, 0], [0, 4]])),
+        (AffineVectorsAction(2, 3), AffineMap(Matrix.from_rows(gf3, [[2, 0], [0, 1]]), (0, 1))),
+        (diag, DiagonalElement(parse_cycles("(1 2)", 2), 7, (11,))),
+        (diag, DiagonalElement(Permutation.identity(2), 3, (5,))),
+    ]
+
+
+class TestSelfCheckingCertificate:
+    """certify_regular proves g^order = 1 on the element, so an order that
+    is only the point's orbit length is refused."""
+
+    def test_orbit_length_that_is_not_the_order(self):
+        g = parse_cycles("(1 2)(3 4 5)", 5)
+        for pt, order in ((1, 2), (3, 3), (4, 3)):
+            with pytest.raises(AssertionError, match="moves"):
+                certify_regular(NaturalAction(5), g, pt, order)
+        # A multiple of the order is refused by a prime-index power instead.
+        with pytest.raises(AssertionError, match=r"g\^\(12/2\) fixes the point 1"):
+            certify_regular(NaturalAction(5), g, 1, 12)
+        # At the order itself, the 2-cycle point is fixed by g^(6/3).
+        with pytest.raises(AssertionError, match=r"g\^\(6/3\) fixes the point 1"):
+            certify_regular(NaturalAction(5), g, 1, 6)
+
+    @pytest.mark.parametrize("case", range(9))
+    def test_every_point_against_its_orbit_length(self, alt5_diagonal, case):
+        # Certifying each point at its own orbit length L succeeds exactly
+        # when L is the order of g; at the order it succeeds exactly on the
+        # regular points. The orbit lengths are walked here, point by point.
+        action, g = certificate_cases(alt5_diagonal)[case]
+        images = action.induced_images(g)
+        lengths = []
+        for i in range(action.size):
+            j, length = int(images[i]), 1
+            while j != i:
+                j, length = int(images[j]), length + 1
+            lengths.append(length)
+        order = action.element_order(g)
+        assert math.lcm(*lengths) == order and order > min(lengths), case
+        for i, length in enumerate(lengths):
+            pt = action.point(i)
+            if length == order:
+                assert certify_regular(action, g, pt, order) == pt
+                continue
+            with pytest.raises(AssertionError, match="moves"):
+                certify_regular(action, g, pt, length)
+            with pytest.raises(AssertionError, match="fixes"):
+                certify_regular(action, g, pt, order)
+
+    def test_affine_witness_makes_one_ladder(self, monkeypatch):
+        import regcycle.regular as regular
+
+        def refused(*args):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(regular, "confirmed_order", refused)
+        monkeypatch.setattr(Matrix, "__pow__", refused)
+        steps = []
+        compose = AffineMap.compose
+
+        def counted(f, h):
+            steps.append("square" if f is h else "product")
+            return compose(f, h)
+
+        monkeypatch.setattr(AffineMap, "__mul__", counted)
+        monkeypatch.setattr(AffineMap, "compose", counted)
+        rng = random.Random(21)
+        seen = set()
+        for d, q in ((1, 7), (2, 3), (2, 5), (3, 3)):
+            group = gl_elements(d, q)
+            for lin in rng.sample(group, min(12, len(group))):
+                f = AffineMap(lin, tuple(rng.randrange(q) for _ in range(d)))
+                order = f.embed().order()
+                steps.clear()
+                try:
+                    affine_witness(f)
+                except ValueError:
+                    continue
+                seen.add(order)
+                assert steps.count("square") == order.bit_length() - 1, (f, order)
+                assert steps.count("product") == bin(order).count("1") - 1, (f, order)
+        # Orders with several set bits, so the products are counted too.
+        assert {o for o in seen if bin(o).count("1") > 1}, seen
+
+    def test_diagonal_ladder_checks_g_once(self, alt5_diagonal, monkeypatch):
+        action = DiagonalAction(alt5_diagonal, 2)
+        check = DiagonalAction._check
+        calls = []
+
+        def counted(self, g):
+            calls.append(g)
+            return check(self, g)
+
+        g = DiagonalElement(parse_cycles("(1 2 3)", 3), 7, (11, 23))
+        order = action.element_order(g)
+        assert order.bit_length() > 2
+        verdict = decide_fix_union(action, g)
+        monkeypatch.setattr(DiagonalAction, "_check", counted)
+        assert certify_regular(action, g, verdict.witness, order) == tuple(verdict.witness)
+        assert calls == [g]
+        # The public compose still checks both of its elements.
+        bad = DiagonalElement(Permutation.identity(3), 10**6, (0, 0))
+        with pytest.raises(ValueError, match="phi"):
+            action.compose(g, bad)
+        with pytest.raises(ValueError, match="phi"):
+            action.compose(bad, g)
+
+
 # ---------------------------------------------------------------------------
 # k-sets: cover, decision, witness, threshold scan
 
@@ -609,7 +737,8 @@ class TestKSetRow:
 
         monkeypatch.setattr(permcore, "orbit_partition", counted_walk)
         monkeypatch.setattr(regular, "kset_decide", counted_decide)
-        verdict = decide(KSetsAction(100, k), self.G)
+        # A new element: G keeps the cycle list an earlier test walked.
+        verdict = decide(KSetsAction(100, k), Permutation(self.G.images))
         assert verdict.method == "kset_combinatorial" and verdict.has_regular_cycle
         # One cycle list; the verdict renders g only when its text is read.
         assert calls == {"walk": 1, "decide": 1}
@@ -1058,6 +1187,8 @@ class TestChecksUnderOptimize:
             "g = parse_cycles('(1 2 3 4)(5 6)', 6)\n"
             "cases = [\n"
             "    lambda: certify_regular(NaturalAction(6), g, 5, 4),\n"
+            "    # An orbit length that is not the order of the element.\n"
+            "    lambda: certify_regular(NaturalAction(5), parse_cycles('(1 2)(3 4 5)', 5), 1, 2),\n"
             "    lambda: certify_regular(PartitionsAction(2, 3), g, [[1, 2], [3, 4], [5, 5]], 4),\n"
             "    lambda: certify_regular(PartitionsAction(2, 3), g, [[1, 2, 3], [4, 5, 6]], 4),\n"
             "    lambda: certify_regular(\n"
