@@ -6,9 +6,11 @@ reported as pass, fail, or inconclusive. "pass" means the claim holds with
 a certified gap of at least the stated margin; "fail" means the claim is
 certainly violated; anything the intervals cannot separate is
 "inconclusive". Wide sweeps over n use vectorized float64 with a
-conservative error allowance folded into the reported gap.
+conservative error allowance folded into the reported gap; robin_sweep
+counts omega by a segmented sieve, OMEGA_SEGMENT numbers at a time.
 Precision-only values (exact constants, their logs, k pi, j(log j - 1))
-are made once per precision, so every endpoint keeps a fresh evaluation's bits.
+are made once per precision, so every endpoint keeps a fresh evaluation's bits,
+and every Robin line keeps the bits of the unsegmented count.
 The int and Fraction literals of the alpha-beta, Massias, Stirling-overflow
 and wreath expressions are `_ivf` values in the literal's own operand
 position: the same exact interval that the operator would convert, made once.
@@ -35,11 +37,11 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 from typing import Iterable, Optional, Sequence
 
-import mpmath
 import numpy as np
 from mpmath import iv
+from mpmath.libmp import mpf_sub, round_down, to_float
 
-from .permcore import factorize, primes_upto
+from .permcore import factorize, prime_array, primes_upto
 
 MARGIN = 1e-9
 
@@ -56,6 +58,8 @@ STATUS_INCONCLUSIVE = "inconclusive"
 # log n / (log log n - ROBIN_SHIFT) bounds the number of distinct primes.
 ROBIN_SHIFT = Fraction(11714, 10000)
 ROBIN_MIN_N = 26
+# Numbers per segment of the omega sieve: a bench block of 10^4 is one segment.
+OMEGA_SEGMENT = 1 << 16
 
 
 class _Prec:
@@ -102,11 +106,7 @@ def _pi_times(k: int) -> "iv.mpf":
 
 def _gap_low(lhs, rhs) -> float:
     """Certified lower bound for rhs - lhs, as a float."""
-    try:
-        g = mpmath.fsub(rhs.a, lhs.b, rounding="d")
-    except (OverflowError, ValueError):
-        return math.inf
-    return float(g)
+    return to_float(mpf_sub(rhs._mpi_[0], lhs._mpi_[1], 53, round_down))
 
 
 @dataclass(frozen=True)
@@ -164,22 +164,36 @@ def omega(n: int) -> int:
     return len(factorize(n).primes)
 
 
+def _ranges(first: np.ndarray, stop: np.ndarray):
+    """arange(f, s) for each pair, concatenated, and the length of each."""
+    lengths = stop - first
+    shift = np.repeat(first - np.cumsum(lengths) + lengths, lengths)
+    return np.arange(len(shift)) + shift, lengths
+
+
 def _omega_block(lo: int, hi: int) -> np.ndarray:
     """omega(n) for n = lo..hi (lo >= 1), as int8.
 
-    Primes up to the block length get one strided slice each; every larger
-    prime has at most one multiple in the block, so those are added in one
-    vectorized pass (np.add.at, as two of them may divide the same n).
+    A segmented sieve (Bays and Hudson 1977) over segments of OMEGA_SEGMENT
+    numbers from lo. Each segment lists every multiple j p in it of every
+    prime p up to its end and counts them with one np.bincount, so memory
+    stays bounded however wide the block. The pairs are split at
+    root = isqrt(end), with no loop over primes: each prime up to root runs
+    over its multipliers j; every larger prime has a multiplier q <= root,
+    so for each such q the primes in [start / q, end / q] form one slice of
+    permcore's int64 prime array.
     """
-    size = hi - lo + 1
-    counts = np.zeros(size, dtype=np.int8)
-    primes = primes_upto(hi)
-    small = primes_upto(size)
-    for p in small:
-        counts[-lo % p::p] += 1
-    large = np.array(primes[len(small):], dtype=np.int64)
-    first = -(-lo // large) * large
-    np.add.at(counts, first[first <= hi] - lo, 1)
+    counts = np.empty(hi - lo + 1, dtype=np.int8)
+    for start in range(lo, hi + 1, OMEGA_SEGMENT):
+        end = min(start + OMEGA_SEGMENT - 1, hi)
+        root = math.isqrt(end)
+        small, primes = prime_array(root), prime_array(end)
+        j, reps = _ranges(-(-start // small), end // small + 1)
+        q = np.arange(1, end // (root + 1) + 1)
+        idx, runs = _ranges(np.searchsorted(primes, np.maximum(-(-start // q), root + 1)),
+                            np.searchsorted(primes, end // q, side="right"))
+        multiples = np.concatenate((j * np.repeat(small, reps), primes[idx] * np.repeat(q, runs)))
+        counts[start - lo:end - lo + 1] = np.bincount(multiples - start, minlength=end - start + 1)
     return counts
 
 
@@ -196,7 +210,8 @@ def robin_check(n: int, margin: float = MARGIN) -> CheckLine:
 
 def robin_sweep(lo: int = ROBIN_MIN_N, hi: int = 10**6,
                 margin: float = MARGIN) -> SweepReport:
-    """Vectorized sweep of the prime-divisor bound on [lo, hi].
+    """Vectorized sweep of the prime-divisor bound on [lo, hi], with omega
+    from _omega_block's segmented sieve, in memory bounded per segment.
 
     float64 elementary functions are correct to a few ulp; the certified
     gap folds in a relative and absolute allowance far above that, so a
@@ -362,6 +377,19 @@ def _xlogx_minus_x_float(j: np.ndarray) -> np.ndarray:
     return j * (np.log(np.maximum(j, 1)) - 1)
 
 
+def _technical_lhs(m: int, p: int, k: int):
+    """k log p + r(log r - 1) + k(log k - 1) - m(log m - 1), r = m - kp: the
+    left side of technical_check, which does not depend on alpha."""
+    return (iv.mpf(k) * _log_of(p) + _xlogx_minus_x(m - k * p)
+            + _xlogx_minus_x(k) - _xlogx_minus_x(m))
+
+
+@_per_precision
+def _half_alpha_less_one(alpha: Fraction):
+    """(alpha - 1)/2 as an interval at the current precision."""
+    return (_ivf(alpha) - 1) / 2
+
+
 def technical_check(
     m: int, p: int, k: int, alpha: Fraction, margin: float = MARGIN
 ) -> CheckLine:
@@ -376,14 +404,9 @@ def technical_check(
     if Fraction(r) > alpha * m:
         raise ValueError("r exceeds alpha * m")
     with _Prec(260):
-        lhs = (
-            iv.mpf(k) * _log_of(p)
-            + _xlogx_minus_x(r)
-            + _xlogx_minus_x(k)
-            - _xlogx_minus_x(m)
-        )
-        rhs = (_ivf(alpha) - 1) / 2 * _xlogx_minus_x(m)
-        return _compare(f"technical:m={m},p={p},k={k},a={alpha}", lhs, rhs, margin)
+        rhs = _half_alpha_less_one(alpha) * _xlogx_minus_x(m)
+        return _compare(f"technical:m={m},p={p},k={k},a={alpha}",
+                        _technical_lhs(m, p, k), rhs, margin)
 
 
 def technical_sweep(
@@ -401,7 +424,9 @@ def technical_sweep(
     A point goes to the interval comparison only if its float gap, less
     TECHNICAL_ALLOWANCE, is below the margin (it may not pass) or at most
     the smallest float gap plus the allowance (it may be the worst); every
-    other point certainly passes and is certainly not the worst.
+    other point certainly passes and is certainly not the worst. The left
+    side of an escalated (p, k) does not depend on alpha, so each degree
+    evaluates it once, however many alphas escalate it.
     """
     if alphas is None:
         alphas = technical_inequality_alphas()
@@ -436,21 +461,15 @@ def technical_sweep(
             )
 
             m_term = _xlogx_minus_x(m)
+            lhs = {i: _technical_lhs(m, *pk[i]) for i in np.flatnonzero(escalate.any(axis=0))}
             for a in np.flatnonzero(escalate.any(axis=1)):
                 alpha = alphas[a]
-                rhs = (_ivf(alpha) - 1) / 2 * m_term
+                rhs = _half_alpha_less_one(alpha) * m_term
                 worst: Optional[CheckLine] = None
                 for i in np.flatnonzero(escalate[a]):
                     p, k = pk[i]
-                    r = m - k * p
-                    lhs = (iv.mpf(k) * _log_of(p) + _xlogx_minus_x(r)
-                           + _xlogx_minus_x(k) - m_term)
                     line = _compare(
-                        f"technical:m={m},p={p},k={k},a={alpha}",
-                        lhs,
-                        rhs,
-                        margin,
-                    )
+                        f"technical:m={m},p={p},k={k},a={alpha}", lhs[i], rhs, margin)
                     if worst is None or line.gap_low < worst.gap_low:
                         worst = line
                     if line.status != STATUS_PASS:

@@ -13,8 +13,9 @@ of an image array and the Frobenius table of a field go through it. A
 `Permutation` has a cheaper power: `cycle_power` reads g^e off its cycle
 list in O(degree), for any integer e, and ``**`` is that read.
 
-`factorize` is trial division at any size, with no table. `primes_upto`
-and `first_primes` read one sieve up to SIEVE_LIMIT, built on first call.
+`factorize` is trial division at any size, with no table. `primes_upto`,
+`first_primes` and `prime_array` read one sieve up to SIEVE_LIMIT, built on
+first call and kept as one int64 array (and, for the first two, its tuple).
 
 Orbits of an image array are read two ways. `orbit_partition` walks them,
 in walk order, for cycle notation. `orbit_labels` and `orbit_length_array`
@@ -341,15 +342,23 @@ def render_cycles(p: Permutation) -> str:
 
 
 @lru_cache(maxsize=None)
-def _sieved_primes() -> tuple[int, ...]:
-    """Every prime up to SIEVE_LIMIT, ascending, by a boolean sieve of
-    Eratosthenes built on first use; the only cached prime list."""
+def _sieve_array() -> np.ndarray:
+    """Every prime up to SIEVE_LIMIT, ascending, as one read-only int64 array,
+    by a boolean sieve of Eratosthenes built on first use."""
     is_prime = np.ones(SIEVE_LIMIT + 1, dtype=bool)
     is_prime[:2] = False
     for i in range(2, math.isqrt(SIEVE_LIMIT) + 1):
         if is_prime[i]:
             is_prime[i * i :: i] = False
-    return tuple(np.flatnonzero(is_prime).tolist())
+    primes = np.flatnonzero(is_prime).astype(np.int64)
+    primes.flags.writeable = False
+    return primes
+
+
+@lru_cache(maxsize=None)
+def _sieved_primes() -> tuple[int, ...]:
+    """The sieve's primes as a tuple of ints; the only cached prime tuple."""
+    return tuple(_sieve_array().tolist())
 
 
 def primes_upto(limit: int) -> tuple[int, ...]:
@@ -357,6 +366,14 @@ def primes_upto(limit: int) -> tuple[int, ...]:
         raise ValueError("sieve limit is %d" % SIEVE_LIMIT)
     primes = _sieved_primes()
     return primes[: bisect_right(primes, limit)]
+
+
+def prime_array(limit: int) -> np.ndarray:
+    """Every prime up to limit, as a read-only view of the sieve's int64 array."""
+    if limit > SIEVE_LIMIT:
+        raise ValueError("sieve limit is %d" % SIEVE_LIMIT)
+    primes = _sieve_array()
+    return primes[: np.searchsorted(primes, limit, side="right")]
 
 
 def first_primes(count: int) -> tuple[int, ...]:

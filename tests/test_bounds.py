@@ -4,12 +4,18 @@ Independent oracles: exact integer computations (factorials, lcm tables,
 prime counts) and literature values for the largest permutation order.
 """
 
+import dataclasses
 import hashlib
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mpmath import iv
 
@@ -41,7 +47,7 @@ from regcycle.bounds import (
     technical_sweep,
     wreath_case_bound,
 )
-from regcycle.permcore import factorize
+from regcycle.permcore import SIEVE_LIMIT, factorize, primes_upto
 
 
 def digest(values) -> str:
@@ -56,9 +62,21 @@ def alpha_beta_rows(hi: int) -> list:
 
 WREATH_EXAMPLES = ((10, 1, 5), (6, 2, 3))
 
+# The benchmark's robin blocks: 10^4 wide, from 26 to 999 999.
+ROBIN_BLOCKS = [(max(26, lo), lo + 10**4 - 1) for lo in range(0, 10**6, 10**4)]
+# From 1, across one segment edge, the last block and the whole sieve.
+OMEGA_RANGES = ((1, 5000), (2**16 - 100, 2**17 + 100), (10**6 - 10**4 + 1, 10**6), (1, 10**6))
+
+
+def omega_block_hashes() -> list:
+    return [hashlib.sha256(bounds._omega_block(lo, hi).tobytes()).hexdigest()
+            for lo, hi in OMEGA_RANGES]
+
+
 # digest() of every row and line as evaluated with no constant cached: a
 # cache must keep every endpoint's bits. The reprs hold each field, floats
-# in round-trip form.
+# in round-trip form. The robin entries are those of the per-prime strided
+# omega count, which the segmented sieve must reproduce byte for byte.
 PINNED_BOUNDS = {
     "alpha_beta_row 47..600": (
         lambda: alpha_beta_rows(600),
@@ -87,10 +105,45 @@ PINNED_BOUNDS = {
     "stirling_sweep 1..1000": (
         lambda: stirling_sweep(1, 1000).lines,
         "31ad100361ebd9bdcf4cc050940a62b6624e52e7573ddcfe5976e486276eed92"),
+    "robin_sweep benchmark blocks": (
+        lambda: [line for lo, hi in ROBIN_BLOCKS for line in robin_sweep(lo, hi).lines],
+        "774e5c231abb3b41fecfab6fb58d9cb84dbaa2b185e5f3d96edcc2f216ef4d09"),
+    "_omega_block bytes": (
+        omega_block_hashes,
+        "80642ea7e7e69cf3e7eb54191e72aef22e9fab52f89fcf143bb6d27e2eb06797"),
+    "robin_sweep 26..10^6": (
+        lambda: robin_sweep(26, 10**6).lines,
+        "eb35860956bd525687298f761eb983691eeb2f4dc21de9b1ebcbacb12aff226a"),
 }
 # The full bounds-all ranges; the 19 908 rows take about 14 s.
 SLOW_PINNED = {"alpha_beta_row 47..10000", "technical_sweep 3..200",
-               "stirling_sweep 1..1000"}
+               "stirling_sweep 1..1000", "robin_sweep 26..10^6"}
+
+
+@st.composite
+def omega_blocks(draw):
+    """(lo, hi) from 1, ending at SIEVE_LIMIT or anywhere, some a few numbers
+    past one or two whole segments, so a block ends on a segment edge."""
+    segment = bounds.OMEGA_SEGMENT
+    width = draw(st.one_of(st.integers(1, 300),
+                           st.integers(segment - 2, segment + 2),
+                           st.integers(2 * segment - 2, 2 * segment + 2),
+                           st.integers(1, 3 * segment)))
+    where = draw(st.sampled_from(("one", "limit", "any")))
+    if where == "one":
+        return 1, width
+    if where == "limit":
+        return SIEVE_LIMIT - width + 1, SIEVE_LIMIT
+    lo = draw(st.integers(1, SIEVE_LIMIT - width + 1))
+    return lo, lo + width - 1
+
+
+def strided_omega(lo: int, hi: int) -> np.ndarray:
+    """omega(n) for n = lo..hi, one strided slice per prime."""
+    counts = np.zeros(hi - lo + 1, dtype=np.int8)
+    for p in primes_upto(hi):
+        counts[-lo % p::p] += 1
+    return counts
 
 
 class TestOmega:
@@ -131,6 +184,58 @@ class TestRobin:
     def test_block_counts_match_omega(self, lo, hi):
         counts = bounds._omega_block(lo, hi)
         assert counts.tolist() == [omega(n) for n in range(lo, hi + 1)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(block=omega_blocks())
+    @example(block=(1, 1))
+    @example(block=(1, bounds.OMEGA_SEGMENT + 1))
+    @example(block=(SIEVE_LIMIT, SIEVE_LIMIT))
+    @example(block=(SIEVE_LIMIT - 2 * bounds.OMEGA_SEGMENT, SIEVE_LIMIT))
+    def test_drawn_block_counts_match_a_strided_sieve(self, block):
+        lo, hi = block
+        counts = bounds._omega_block(lo, hi)
+        assert counts.dtype == np.int8
+        assert np.array_equal(counts, strided_omega(lo, hi))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_range_is_the_tightest_of_its_sub_blocks(self, data):
+        lo = data.draw(st.integers(26, SIEVE_LIMIT - 10), label="lo")
+        hi = data.draw(st.integers(lo + 1, min(lo + 3 * bounds.OMEGA_SEGMENT, SIEVE_LIMIT)),
+                       label="hi")
+        cuts = sorted(data.draw(st.sets(st.integers(lo + 1, hi), max_size=4), label="cuts"))
+        edges = [lo, *cuts, hi + 1]
+        tightest = None
+        for a, b in zip(edges, edges[1:]):
+            (line,) = robin_sweep(a, b - 1).lines
+            if tightest is None or line.gap_low < tightest.gap_low:
+                tightest = line
+        (whole,) = robin_sweep(lo, hi).lines
+        assert whole == dataclasses.replace(tightest, name=f"robin_sweep:{lo}..{hi}")
+
+    def test_full_sweep_peak_memory(self):
+        # The rise of ru_maxrss over a full sweep: 50 MB for the per-prime
+        # strided count this sieve replaced, 48 MB segmented, and 88-99 MB for
+        # one bincount over the whole range at once.
+        measure = (
+            "import resource\n"
+            "from regcycle.bounds import robin_sweep\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "robin_sweep(26, 10**6)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        # ru_maxrss keeps the peak of the forking process across exec, so
+        # the measuring interpreter is started from a small one.
+        launch = (
+            "import subprocess, sys\n"
+            f"sys.exit(subprocess.run([sys.executable, '-c', {measure!r}]).returncode)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", launch], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        rise_mb = int(proc.stdout) / 1024
+        assert rise_mb < 60, f"peak RSS rose {rise_mb:.0f} MB"
 
 
 class TestLandau:
@@ -265,6 +370,25 @@ class TestTechnical:
         rep = technical_sweep(3, 200)
         assert len(rep.lines) == 198 * 29
         assert len(calls) <= 2 * 198 * 29
+
+    def test_sweep_builds_each_left_side_once(self, monkeypatch):
+        """The left side does not depend on alpha: one evaluation per
+        escalated (m, p, k), however many alphas escalate it."""
+        built, escalated = [], set()
+        lhs, compare = bounds._technical_lhs, bounds._compare
+
+        def counted(m, p, k):
+            built.append((m, p, k))
+            return lhs(m, p, k)
+
+        def recorded(name, *args, **kwargs):
+            escalated.add(name.rsplit(",a=", 1)[0])
+            return compare(name, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "_technical_lhs", counted)
+        monkeypatch.setattr(bounds, "_compare", recorded)
+        technical_sweep(3, 200)
+        assert len(built) <= len(escalated)
 
 
 def technical_pointwise(lo: int, hi: int, margin: float) -> SweepReport:

@@ -27,7 +27,7 @@ from regcycle import (
 )
 from regcycle.actions import WreathElement, power_images
 from regcycle.gfalgebra import Matrix, field_ops
-from regcycle.permcore import cycle_type_count, orbit_labels, power
+from regcycle.permcore import SIEVE_LIMIT, cycle_type_count, orbit_labels, power, prime_array
 
 
 def naive_primes(limit: int) -> list[int]:
@@ -182,6 +182,15 @@ class TestPrimes:
 
     def test_first_primes(self):
         assert first_primes(5) == (2, 3, 5, 7, 11)
+
+    def test_prime_array_is_a_read_only_view_of_the_sieve(self):
+        primes = prime_array(1000)
+        assert primes.dtype == np.int64
+        assert primes.tolist() == naive_primes(1000)
+        assert not primes.flags.writeable
+        assert prime_array(SIEVE_LIMIT).tolist() == list(primes_upto(SIEVE_LIMIT))
+        with pytest.raises(ValueError, match="sieve limit"):
+            prime_array(SIEVE_LIMIT + 1)
 
     def test_factorize_known(self):
         f = factorize(720720)
