@@ -265,10 +265,9 @@ class KSetsAction(Action):
     `move` maps each point and sorts nothing; `external` lists the 1-based
     points ascending, the one canonical order of a printed k-set.
 
-    induced_images returns an int64 ndarray. It gathers g's images through
-    the matrix of all k-subsets in colex order, sorts each row, and ranks
-    the rows from a binomial table; both tables are built on the first
-    call, so an action that is never listed never builds them.
+    induced_images gathers g's images through the colex k-subset matrix,
+    sorts each row and sums its int64 colex rank one column at a time. Both
+    tables are built on the first call: an unlisted action never builds them.
     """
 
     _check = _check_degree
@@ -326,7 +325,10 @@ class KSetsAction(Action):
             )
         rows = np.asarray(g.images, dtype=self._combos.dtype)[self._combos]
         rows.sort(axis=1)
-        return self._binom[rows, np.arange(self.k)].sum(axis=1)
+        ranks = self._binom[rows[:, 0], 0]
+        for i in range(1, self.k):
+            ranks += self._binom[rows[:, i], i]
+        return ranks
 
     def internal(self, pt: Iterable[int]) -> frozenset[int]:
         vals = list(pt)
@@ -446,11 +448,6 @@ class PartitionsAction(Action):
         self.block_count = block_count
         self.degree = block_size * block_count
         self.name = f"partitions:{block_size}:{block_count}"
-        # partitions_count(a, b) is the product of C(i*a - 1, a - 1), i = 2..b.
-        self.listable = _binomials_within(
-            ((i * block_size - 1, block_size - 1) for i in range(2, block_count + 1)),
-            self._ENUM_CAP,
-        )
         self._enum: np.ndarray | None = None
         self._weights: np.ndarray | None = None
         self._sorted_keys: np.ndarray | None = None
@@ -459,6 +456,12 @@ class PartitionsAction(Action):
     @functools.cached_property
     def size(self) -> int:
         return partitions_count(self.block_size, self.block_count)
+
+    @functools.cached_property
+    def listable(self) -> bool:
+        # partitions_count(a, b) is the product of C(i*a - 1, a - 1), i = 2..b.
+        a, b = self.block_size, self.block_count
+        return _binomials_within(((i * a - 1, a - 1) for i in range(2, b + 1)), self._ENUM_CAP)
 
     def _materialize(self) -> None:
         if self._enum is not None:

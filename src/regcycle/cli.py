@@ -46,7 +46,7 @@ from .groups import (
     symmetric_group,
 )
 from .permcore import Permutation, parse_cycles
-from .regular import FIX_UNION_FACTOR, DomainCapError, decide
+from .regular import LISTING_FACTOR, DomainCapError, decide
 from .verify import (
     RunConfig,
     SUITES,
@@ -125,8 +125,8 @@ def _factorial_price_past(n: int, cap: int, price) -> Optional[tuple[int, int]]:
 
 def _price_degree(text: str, points: int, cap: int) -> None:
     """Refuse a degree past the largest domain any `decide` row lists."""
-    if points > FIX_UNION_FACTOR * cap:
-        raise DomainCapError(points, FIX_UNION_FACTOR * cap, f"group {text}")
+    if points > LISTING_FACTOR * cap:
+        raise DomainCapError(points, LISTING_FACTOR * cap, f"group {text}")
 
 
 def parse_group(text: str, config: RunConfig) -> GroupContext:
@@ -518,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", choices=("json", "tsv"), default=output_default)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--cap", type=int, default=10**7,
-                       help="domain size cap for full enumeration")
+                       help=f"domain size cap; decide lists up to {LISTING_FACTOR} times it")
 
     p_decide = sub.add_parser("decide", help="decide one element in one action")
     p_decide.add_argument("--group", required=True)

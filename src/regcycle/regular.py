@@ -18,7 +18,7 @@ failures, a witness that is not a point among them, raise AssertionError:
 a construction is never allowed to return silently wrong.
 
 `decide` runs the first row of one ordered table, DECIDE_TABLE, that applies
-to the action and element: the two enumerating deciders while the action is
+to the action and element: the enumerating decider while the action is
 small enough to list, then the cycle-type rule on k-sets and the constructive
 witness on uniform partitions, which are bounded at any size. An action that
 no row answers raises DomainCapError.
@@ -987,7 +987,7 @@ def diagonal_fpr_audit(
 # Method auto-selection
 
 
-FIX_UNION_FACTOR = 4
+LISTING_FACTOR = 4
 
 
 def _constructive_proof(action: PartitionsAction, g: Permutation) -> Verdict:
@@ -998,9 +998,9 @@ def _constructive_proof(action: PartitionsAction, g: Permutation) -> Verdict:
     return _verdict(action, g, "constructive_proof", order, order, True, witness)
 
 
-def _listed_within(factor: int):
-    """Row condition: the action can list its points, at most factor * cap."""
-    return lambda action, g, cap: action.listable and action.size_at_most(factor * cap)
+def _listed(action: Action, g, cap: int) -> bool:
+    """The action can list its points, at most LISTING_FACTOR * cap."""
+    return action.listable and action.size_at_most(LISTING_FACTOR * cap)
 
 
 def _kset_applies(action: Action, g, cap: int) -> bool:
@@ -1018,8 +1018,7 @@ def _partition_applies(action: Action, g, cap: int) -> bool:
 # (method, applies(action, g, cap), run(action, g)), in order of preference:
 # decide runs the first row that applies.
 DECIDE_TABLE = (
-    ("bruteforce", _listed_within(1), decide_bruteforce),
-    ("fix_union", _listed_within(FIX_UNION_FACTOR), decide_fix_union),
+    ("bruteforce", _listed, decide_bruteforce),
     ("kset_combinatorial", _kset_applies, _kset_combinatorial),
     ("constructive_proof", _partition_applies, _constructive_proof),
 )
@@ -1028,11 +1027,9 @@ DECIDE_TABLE = (
 def decide(action: Action, g, domain_cap: int = 10**7) -> Verdict:
     """Decide with the first row of DECIDE_TABLE that applies.
 
-    Full enumeration under the cap; the fixed-set-union decider up to
-    FIX_UNION_FACTOR times the cap (its arrays are flat and cheaper than
-    orbit bookkeeping); past that, at any size, the cycle-type decision on
-    k-sets of a permutation and the constructive witness on uniform
-    partitions of a permutation. Anything else raises DomainCapError.
+    bruteforce lists up to LISTING_FACTOR times the cap; past that, for a
+    permutation at any size, the cycle-type rule decides k-sets and the
+    constructive witness partitions. Anything else raises DomainCapError.
     """
     if domain_cap < 1:
         raise ValueError("domain_cap must be positive")

@@ -258,6 +258,29 @@ class TestDecide:
         )
         assert proc.stdout == ""
 
+    @pytest.mark.slow
+    def test_largest_kset_band_lists_in_bounded_memory(self):
+        # C(36, 8) = 30 260 340 points, inside four times the default cap.
+        # Ranked one column at a time, the listing peaks at about 1.2 GB; a
+        # (points, k) int64 gather of binomial terms alone needs 1.8 GiB.
+        resource = pytest.importorskip("resource")
+        limit = 2 * 2**30
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "regcycle", "decide", "--group", "sym:36",
+             "--element", "(1 2 3 4 5 6 7)(8 9 10 11 12)(13 14 15)(16 17)",
+             "--action", "ksets:8"],
+            capture_output=True, text=True, timeout=300, preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["method"] == "bruteforce"
+        assert out["witness"] == [1, 2, 3, 4, 5, 8, 13, 16]
+        assert proc.stderr == ""
+
     @pytest.mark.parametrize(
         "group,message",
         [

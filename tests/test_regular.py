@@ -771,15 +771,15 @@ class TestKSetRow:
             return within(terms, cap)
 
         monkeypatch.setattr(actions, "_binomials_within", counted)
-        # C(40, 8) = 76 904 685 passes both listing rows' bounds.
+        # C(40, 8) = 76 904 685 passes the listing row's bound.
         g = parse_cycles("(1 2 3 4 5)(6 7 8)(9 10)", 40)
         action = KSetsAction(40, 8)
         verdict = decide(action, g)
         assert verdict.method == "kset_combinatorial"
         assert "size" not in vars(action)
-        assert calls == [10**7, 4 * 10**7]
+        assert calls == [4 * 10**7]
         # Each bound's answer is kept, so a second decide prices nothing.
-        assert decide(action, g) == verdict and len(calls) == 2
+        assert decide(action, g) == verdict and len(calls) == 1
         counted_first = KSetsAction(40, 8)
         assert counted_first.size == math.comb(40, 8)
         assert decide(counted_first, g).to_json() == verdict.to_json()
@@ -922,6 +922,15 @@ class TestPartitionWitness:
         h = g.conj(c)
         wh = partition_witness(h, 3, 3)
         assert partition_orbit_length(h, wh) == h.order()
+
+    def test_witness_never_asks_whether_the_action_lists(self):
+        from regcycle.regular import _regular_partition
+
+        action = PartitionsAction(3, 3)
+        g = parse_cycles("(1 2 3 4 5)(6 7 8)", 9)
+        witness, order = _regular_partition(action, g)
+        assert order == partition_orbit_length(g, witness) == 15
+        assert "listable" not in vars(action)
 
     def test_constructive_row_walks_g_once(self, monkeypatch):
         import regcycle.permcore as permcore
@@ -1409,11 +1418,58 @@ class TestDecideAuto:
         v = decide(NaturalAction(6), parse_cycles("(1 2 3)", 6))
         assert v.method == "bruteforce"
 
-    def test_medium_uses_fix_union(self):
-        g = parse_cycles("(1 2 3 4 5 6 7)", 12)
-        v = decide(KSetsAction(12, 5), g, domain_cap=500)
-        assert v.method == "fix_union"
-        assert v.has_regular_cycle == decide_bruteforce(KSetsAction(12, 5), g).has_regular_cycle
+    @pytest.mark.parametrize(
+        "family, cap",
+        [
+            ("natural", 5),
+            ("natural-identity", 5),
+            ("ksets", 500),
+            ("ksets-irregular", 20),
+            ("partitions", 30),
+            ("partitions-unfaithful", 1),
+            ("product", 3),
+            ("vectors", 3),
+            ("affine", 3),
+            ("cosets", 3),
+            ("diagonal", 20),
+        ],
+    )
+    def test_band_up_to_four_caps_is_listed(self, alt5_diagonal, family, cap):
+        # Each action has cap < size <= 4 * cap. bruteforce lists it, and
+        # answers as the fixed-set-union cross-check does.
+        matrix = Matrix.from_rows(field_ops(3), [[0, 1], [1, 1]])
+        action, g = {
+            "natural": (NaturalAction(12), parse_cycles("(1 2 3 4 5 6 7)", 12)),
+            "natural-identity": (NaturalAction(12), Permutation.identity(12)),
+            "ksets": (KSetsAction(12, 5), parse_cycles("(1 2 3 4 5 6 7)", 12)),
+            "ksets-irregular": (KSetsAction(10, 2), parse_cycles("(1 2)(3 4 5)(6 7 8 9 10)", 10)),
+            "partitions": (PartitionsAction(2, 4), parse_cycles("(1 2 3)(4 5)", 8)),
+            "partitions-unfaithful": (PartitionsAction(2, 2), parse_cycles("(1 2 3 4)", 4)),
+            "product": (
+                ProductAction(3, 2),
+                WreathElement([parse_cycles("(1 2 3)", 3)] * 2, parse_cycles("(1 2)", 2)),
+            ),
+            "vectors": (VectorsAction(2, 3), matrix),
+            "affine": (AffineVectorsAction(2, 3), AffineMap(matrix, (1, 0))),
+            "cosets": (
+                CosetsAction(symmetric_group(4), closure([parse_cycles("(1 2 3)", 4)])),
+                parse_cycles("(1 2 3 4)", 4),
+            ),
+            "diagonal": (
+                DiagonalAction(alt5_diagonal, 1),
+                DiagonalElement(Permutation((1, 0)), 3, (7,)),
+            ),
+        }[family]
+        assert cap < action.size <= 4 * cap
+        v = decide(action, g, domain_cap=cap)
+        fu = decide_fix_union(action, g)
+        assert v.method == "bruteforce" and v.certified
+        listed, crossed = v.to_json(), fu.to_json()
+        for verdict in (listed, crossed):
+            del verdict["method"]
+        if family == "natural-identity":
+            assert (listed.pop("flags"), crossed.pop("flags")) == ([], ["identity"])
+        assert listed == crossed
 
     def test_large_ksets_uses_combinatorics(self):
         g = parse_cycles("(1 2 3 4 5)(6 7 8)(9 10)", 40)
@@ -1461,7 +1517,6 @@ class TestDecideAuto:
     def test_table_methods_are_known(self):
         assert [row[0] for row in DECIDE_TABLE] == [
             "bruteforce",
-            "fix_union",
             "kset_combinatorial",
             "constructive_proof",
         ]
