@@ -55,7 +55,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gfalgebra import AffineMap, Matrix, field_ops
+from .gfalgebra import AffineMap, Matrix, _digits, _undigits, field_ops
 from .groups import DEFAULT_GROUP_CAP, AmbientAutomorphisms, GeneratedGroup, closure
 from .permcore import Permutation, cycle_power, orbit_labels, power, render_cycles
 
@@ -663,17 +663,10 @@ class TupleAction(Action):
         self.name = name
 
     def _decode(self, idx):
-        digits = []
-        for _ in range(self.length):
-            digits.append(idx % self.radix)
-            idx //= self.radix
-        return digits
+        return _digits(idx, self.radix, self.length)
 
     def _encode(self, digits):
-        idx = 0
-        for v in reversed(digits):
-            idx = idx * self.radix + v
-        return idx
+        return _undigits(digits, self.radix)
 
     def internal(self, pt: Iterable[int]) -> list[int]:
         digits = [v - self.offset for v in pt]

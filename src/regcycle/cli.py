@@ -51,6 +51,7 @@ from .verify import (
     RunConfig,
     SUITES,
     ScanCapError,
+    SuiteReport,
     run_suite,
     scan_ksets,
     scan_partitions,
@@ -242,8 +243,10 @@ def parse_element(ctx: GroupContext, text: str):
 def _parse_diagonal_element(ctx: GroupContext, text: str) -> DiagonalElement:
     fields = {}
     for part in text.split(";"):
-        key, _, value = part.partition("=")
-        fields[key.strip()] = value.strip()
+        key, eq, value = (v.strip() for v in part.partition("="))
+        if not eq or key not in ("sigma", "phi", "m") or key in fields:
+            raise SpecError(f"diagonal element part {part!r}: need sigma=, phi=, m= once each")
+        fields[key] = value
     missing = {"sigma", "phi", "m"} - set(fields)
     if missing:
         raise SpecError(f"diagonal element is missing {sorted(missing)}")
@@ -395,6 +398,16 @@ def cmd_decide(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
+def render_report(report: SuiteReport, output: str) -> str:
+    """The stdout of `verify` for `report`: JSON, or TSV with a header row."""
+    if output == "json":
+        checks = [{"name": ln.name, "ok": ln.ok, "detail": ln.detail} for ln in report.lines]
+        payload = {"schema": 1, "suite": report.suite, "all_ok": report.all_ok, "checks": checks}
+        return json.dumps(payload, indent=2) + "\n"
+    rows = [f"{ln.name}\t{str(ln.ok).lower()}\t{ln.detail}\n" for ln in report.lines]
+    return "check\tok\tdetail\n" + "".join(rows)
+
+
 def cmd_verify(args, config: RunConfig) -> int:
     overrides = {}
     if args.m and args.suite != "ksets":
@@ -407,21 +420,7 @@ def cmd_verify(args, config: RunConfig) -> int:
             )
         overrides = {"oracle_m_max": hi, "scan_m_max": hi}
     report = run_suite(args.suite, config, **overrides)
-    if config.output == "json":
-        payload = {
-            "schema": 1,
-            "suite": report.suite,
-            "all_ok": report.all_ok,
-            "checks": [
-                {"name": line.name, "ok": line.ok, "detail": line.detail}
-                for line in report.lines
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print("check\tok\tdetail")
-        for line in report.lines:
-            print(f"{line.name}\t{str(line.ok).lower()}\t{line.detail}")
+    sys.stdout.write(render_report(report, config.output))
     print(report.summary(), file=sys.stderr)
     return EXIT_OK if report.all_ok else EXIT_ASSERTION
 

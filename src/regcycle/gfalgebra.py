@@ -51,15 +51,18 @@ class FieldSpec:
         return self.p**self.e
 
 
-def _digits(value: int, p: int, e: int) -> list[int]:
+def _digits(value, p: int, e: int) -> list:
+    """The e base-p digits of value, least significant first. value may be
+    an int or an integer numpy array, whose digits are then arrays."""
     out = []
     for _ in range(e):
         out.append(value % p)
-        value //= p
+        value = value // p
     return out
 
 
-def _undigits(coeffs: Sequence[int], p: int) -> int:
+def _undigits(coeffs: Sequence, p: int):
+    """The inverse of `_digits`, on ints and integer arrays alike."""
     value = 0
     for c in reversed(coeffs):
         value = value * p + c

@@ -1,8 +1,10 @@
 """Acceptance gate: twelve end-to-end criteria, one pass/fail line each.
 
 Every criterion runs the full-scale workload (no reduced ranges) and checks
-both correctness and its wall-clock budget.  Suites that back several
-criteria run once via module-scoped fixtures and are inspected per line.
+both correctness and its wall-clock budget.  The suite reports come from the
+session fixture `suite_report` (tests/conftest.py), which runs each suite
+once per session at --seed 0; the stdout digests in test_cli hash the same
+reports.
 """
 
 import time
@@ -14,7 +16,7 @@ from regcycle.actions import KSetsAction, orbit_lengths
 from regcycle.groups import symmetric_group
 from regcycle.permcore import CycleType, canonical_permutation
 from regcycle.regular import decide, wreath_fpr_max
-from regcycle.verify import RunConfig, run_suite
+from regcycle.verify import RunConfig
 
 pytestmark = pytest.mark.slow
 
@@ -30,56 +32,6 @@ def lines_by_prefix(report, prefix):
     picked = [ln for ln in report.lines if ln.name.startswith(prefix)]
     assert picked, f"no suite lines match prefix {prefix!r}"
     return picked
-
-
-@pytest.fixture(scope="module")
-def ksets_report():
-    return run_suite("ksets", CONFIG)
-
-
-@pytest.fixture(scope="module")
-def partitions_report():
-    return run_suite("partitions", CONFIG)
-
-
-@pytest.fixture(scope="module")
-def product_report():
-    return run_suite("product", CONFIG)
-
-
-@pytest.fixture(scope="module")
-def gl_report():
-    return run_suite("gl", CONFIG)
-
-
-@pytest.fixture(scope="module")
-def affine_report():
-    return run_suite("affine", CONFIG)
-
-
-@pytest.fixture(scope="module")
-def diagonal_report():
-    return run_suite("diagonal", CONFIG)
-
-
-@pytest.fixture(scope="module")
-def s6_report():
-    return run_suite("s6-exception", CONFIG)
-
-
-@pytest.fixture(scope="module")
-def a6_report():
-    return run_suite("remark-a6", CONFIG)
-
-
-@pytest.fixture(scope="module")
-def identities_report():
-    return run_suite("lemma-identities", CONFIG)
-
-
-@pytest.fixture(scope="module")
-def bounds_report():
-    return run_suite("bounds-all", CONFIG)
 
 
 def test_criterion_01_pair_sets_orbit_profile():
@@ -99,7 +51,8 @@ def test_criterion_01_pair_sets_orbit_profile():
     assert ok, (lens, verdict, elapsed)
 
 
-def test_criterion_02_small_k_thresholds(ksets_report):
+def test_criterion_02_small_k_thresholds(suite_report):
+    ksets_report = suite_report("ksets")
     picked = lines_by_prefix(ksets_report, "threshold_law_k")
     ok = (
         len(picked) == 3
@@ -111,7 +64,8 @@ def test_criterion_02_small_k_thresholds(ksets_report):
     assert ok, picked
 
 
-def test_criterion_03_kset_rule_vs_bruteforce(ksets_report):
+def test_criterion_03_kset_rule_vs_bruteforce(suite_report):
+    ksets_report = suite_report("ksets")
     picked = lines_by_prefix(ksets_report, "combinatorial_vs_bruteforce_m")
     ok = (
         len(picked) == 12
@@ -125,7 +79,8 @@ def test_criterion_03_kset_rule_vs_bruteforce(ksets_report):
     assert ok, [ln for ln in picked if not ln.ok]
 
 
-def test_criterion_04_partition_witnesses(partitions_report):
+def test_criterion_04_partition_witnesses(suite_report):
+    partitions_report = suite_report("partitions")
     names = [ln.name for ln in partitions_report.lines]
     ok = (
         partitions_report.all_ok
@@ -140,7 +95,8 @@ def test_criterion_04_partition_witnesses(partitions_report):
     assert ok, partitions_report.failures
 
 
-def test_criterion_05_wreath_product_witnesses(product_report):
+def test_criterion_05_wreath_product_witnesses(suite_report):
+    product_report = suite_report("product")
     ok = (
         product_report.all_ok
         and len(product_report.lines) == 3
@@ -151,7 +107,9 @@ def test_criterion_05_wreath_product_witnesses(product_report):
     assert ok, product_report.failures
 
 
-def test_criterion_06_linear_and_affine(gl_report, affine_report):
+def test_criterion_06_linear_and_affine(suite_report):
+    gl_report = suite_report("gl")
+    affine_report = suite_report("affine")
     total = gl_report.elapsed + affine_report.elapsed
     ok = (
         gl_report.all_ok
@@ -168,7 +126,8 @@ def test_criterion_06_linear_and_affine(gl_report, affine_report):
     assert ok, gl_report.failures + affine_report.failures
 
 
-def test_criterion_07_diagonal_action(diagonal_report):
+def test_criterion_07_diagonal_action(suite_report):
+    diagonal_report = suite_report("diagonal")
     names = {ln.name for ln in diagonal_report.lines}
     audit = next(
         ln for ln in diagonal_report.lines if ln.name == "fpr_bounds_copies1"
@@ -188,7 +147,8 @@ def test_criterion_07_diagonal_action(diagonal_report):
     assert ok, diagonal_report.failures
 
 
-def test_criterion_08_degree_six_coset_exception(s6_report):
+def test_criterion_08_degree_six_coset_exception(suite_report):
+    s6_report = suite_report("s6-exception")
     ok = (
         s6_report.all_ok
         and len(s6_report.lines) == 3
@@ -199,7 +159,8 @@ def test_criterion_08_degree_six_coset_exception(s6_report):
     assert ok, s6_report.failures
 
 
-def test_criterion_09_degree_ten_family_actions(a6_report):
+def test_criterion_09_degree_ten_family_actions(suite_report):
+    a6_report = suite_report("remark-a6")
     names = [ln.name for ln in a6_report.lines]
     ok = (
         a6_report.all_ok
@@ -234,7 +195,8 @@ def test_criterion_10_wreath_fixed_ratio_maxima():
     assert ok, values
 
 
-def test_criterion_11_analytic_bounds(bounds_report):
+def test_criterion_11_analytic_bounds(suite_report):
+    bounds_report = suite_report("bounds-all")
     ok = (
         bounds_report.all_ok
         and len(bounds_report.lines) == 7
@@ -247,7 +209,8 @@ def test_criterion_11_analytic_bounds(bounds_report):
     assert ok, bounds_report.failures
 
 
-def test_analytic_bounds_printed_details(bounds_report):
+def test_analytic_bounds_printed_details(suite_report):
+    bounds_report = suite_report("bounds-all")
     # The detail lines `verify --suite bounds-all` prints, digit for digit.
     assert [ln.detail for ln in bounds_report.lines] == [
         "1 checks, min gap 2.358",
@@ -260,7 +223,8 @@ def test_analytic_bounds_printed_details(bounds_report):
     ]
 
 
-def test_criterion_12_decision_rules_agree(identities_report):
+def test_criterion_12_decision_rules_agree(suite_report):
+    identities_report = suite_report("lemma-identities")
     corpus = next(
         ln for ln in identities_report.lines
         if ln.name == "fix_union_vs_bruteforce_corpus"

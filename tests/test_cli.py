@@ -372,6 +372,10 @@ class TestDecide:
             ("agl:2,3", "1,0,0,1+5,0", "affine"),
             ("wreath:3,2", "(1 2)@(1 2)", "product"),
             ("diag:5,1", "sigma=();phi=500;m=1", "diagonal"),
+            ("diag:5,1", "sigma=(1 2);phi=1;m=1;phi=3", "diagonal"),
+            ("diag:5,1", "sigma=();phi=1;m=1;m=2", "diagonal"),
+            ("diag:5,1", "sigma=();phi=1;m=1;foo=2", "diagonal"),
+            ("diag:5,1", "sigma=();phi=1;m=1;garbage", "diagonal"),
         ],
     )
     def test_malformed_spec_exit_2(self, group, element, action):
@@ -430,10 +434,14 @@ class TestElementText:
             assert cli.parse_element(ctx, str(g)) == g, str(g)
 
 
-# sha256 of each command's TSV stdout at --seed 0: the six fast suites, one
-# scan, the bounds table, and the slow diagonal and bounds-all suites. A
-# change meant to keep stdout byte-identical keeps these; one meant to
-# change it records them again.
+# sha256 of each command's TSV stdout at --seed 0: every verify suite, one
+# scan and the bounds table. A change meant to keep stdout byte-identical
+# keeps these; one meant to change it records them again. A verify digest
+# hashes `cli.render_report` of the session's one full-scale report of its
+# suite (tests/conftest.py), which is what `verify --suite X --seed 0
+# --output tsv` prints. The partitions and lemma-identities details are
+# counts, so their digests pin each line's name, pass flag and count; each
+# witness behind a count is checked by certify_regular.
 STDOUT_DIGESTS = {
     ("verify", "--suite", "ksets"):
         "e9ad1a701f3e43721d485f56c982597290b870dd42d04e8b0185752793b31fa3",
@@ -455,9 +463,18 @@ STDOUT_DIGESTS = {
         "f0c5835ea92bfa8fe2d17006e0fe81c40aa6e25757f480acb0d485fdb8fcd26a",
     ("verify", "--suite", "bounds-all"):
         "ec8d44a74071835a3891065de5ffc73766caab15f30e281b95b44f47ec13d2c7",
+    ("verify", "--suite", "partitions"):
+        "daa281c56438ecda638991219588efef210e3b5e7208062747705a91920b4ac5",
+    ("verify", "--suite", "lemma-identities"):
+        "47b01312e2a9687e04c051234e20630585d8780cc7057b8656b0693da5b115c7",
 }
 # Digests of runs that take several seconds.
-SLOW_DIGESTS = {("verify", "--suite", "diagonal"), ("verify", "--suite", "bounds-all")}
+SLOW_DIGESTS = {
+    ("verify", "--suite", "diagonal"),
+    ("verify", "--suite", "bounds-all"),
+    ("verify", "--suite", "partitions"),
+    ("verify", "--suite", "lemma-identities"),
+}
 
 
 class TestStdoutDigests:
@@ -469,10 +486,18 @@ class TestStdoutDigests:
         ],
         ids=" ".join,
     )
-    def test_tsv_stdout_is_byte_identical(self, argv, capsys):
-        assert cli.main([*argv, "--seed", "0", "--output", "tsv"]) == 0
-        out = capsys.readouterr().out
+    def test_tsv_stdout_is_byte_identical(self, argv, capsys, suite_report):
+        if argv[:2] == ("verify", "--suite"):
+            out = cli.render_report(suite_report(argv[2]), "tsv")
+        else:
+            assert cli.main([*argv, "--seed", "0", "--output", "tsv"]) == 0
+            out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == STDOUT_DIGESTS[argv]
+
+    def test_every_suite_is_pinned(self):
+        from regcycle.verify import SUITES
+
+        assert {("verify", "--suite", name) for name in SUITES} <= set(STDOUT_DIGESTS)
 
 
 def readme_decide_examples() -> list[list[str]]:
@@ -555,17 +580,17 @@ class TestVerify:
             "regcycle: ksets oracle line m=17 has 19463895 points, cap is 10000000"
         ]
 
-    def test_ksets_m_13_runs_the_default_oracle(self):
+    def test_ksets_m_13_runs_the_default_oracle(self, suite_report):
         proc = run_cli("verify", "--suite", "ksets", "--m", "2..13", "--output", "tsv")
-        default = run_cli("verify", "--suite", "ksets", "--output", "tsv")
-        assert proc.returncode == default.returncode == 0, proc.stderr
+        default = cli.render_report(suite_report("ksets"), "tsv")
+        assert proc.returncode == 0, proc.stderr
 
         def oracle(stdout):
             return [line for line in stdout.splitlines() if "_vs_bruteforce_" in line]
 
         lines = oracle(proc.stdout)
         assert len(lines) == 12 and lines[-1].startswith("combinatorial_vs_bruteforce_m13\ttrue")
-        assert lines == oracle(default.stdout)
+        assert lines == oracle(default)
 
 
 class TestScan:

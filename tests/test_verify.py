@@ -1,7 +1,8 @@
 """Tests for the verification suites and scan helpers.
 
-Suites run here at reduced scale; the full acceptance-scale runs live in
-the acceptance test module.
+Suites run here at reduced scale. Full-scale reports come from the session
+fixture `suite_report` (tests/conftest.py), shared with the acceptance test
+module and the stdout digests.
 """
 
 import pytest
@@ -202,8 +203,8 @@ class TestSuiteDiagonal:
 
 
 class TestSuiteCosets:
-    def test_s6_exception(self):
-        rep = run_suite("s6-exception", RunConfig())
+    def test_s6_exception(self, suite_report):
+        rep = suite_report("s6-exception")
         assert rep.all_ok, rep.failures
         assert len(rep.lines) == 3
         assert [line.name for line in rep.lines] == [
@@ -212,8 +213,8 @@ class TestSuiteCosets:
             "natural_cosets_keep_six_cycles",
         ]
 
-    def test_a6_family(self):
-        rep = run_suite("remark-a6", RunConfig())
+    def test_a6_family(self, suite_report):
+        rep = suite_report("remark-a6")
         assert rep.all_ok, rep.failures
         assert [line.name for line in rep.lines] == [
             "pgl2_9", "m10", "pgammal2_9",
