@@ -57,7 +57,8 @@ import numpy as np
 
 from .gfalgebra import AffineMap, Matrix, _digits, _undigits, field_ops
 from .groups import DEFAULT_GROUP_CAP, AmbientAutomorphisms, GeneratedGroup, closure
-from .permcore import Permutation, cycle_power, orbit_labels, power, render_cycles
+from .permcore import (Permutation, at_bits, cycle_power, orbit_labels, power, render_cycles,
+                       squaring_ladder)
 
 
 def orbit_lengths(images: Sequence[int]) -> list[int]:
@@ -72,12 +73,10 @@ def fixed_count(images: Sequence[int]) -> int:
 
 
 def power_images(images: Sequence[int], exponent: int) -> Sequence[int]:
-    """Image array of the exponent-th power, by `permcore.power` with arrays
-    composed by indexing: "a, then b" is b[a]. A negative exponent raises
-    ValueError."""
+    """Image array of the exponent-th power, by `permcore.power` over
+    `np.take`. A negative exponent raises ValueError."""
     base = np.asarray(images, dtype=np.int64)
-    identity = np.arange(len(base), dtype=np.int64)
-    return power(base, exponent, identity, lambda a, b: b[a])
+    return power(base, exponent, np.arange(len(base), dtype=np.int64), np.take)
 
 
 class Action:
@@ -150,24 +149,18 @@ class Action:
         g^order is not the identity, else a function (e, x) -> the image of
         the internal point x under g^e, for e dividing order.
 
-        By default the squaring ladder g, g^2, g^4, ..., bit_length(order)
-        - 1 compositions by `_compose`. g^order is the product of the
-        squares at the set bits of order, popcount(order) - 1 compositions
-        more, and `is_identity` tests it with none. x then moves through
-        the squares at the set bits of e, popcount(e) moves, and g^e itself
-        is never formed.
+        By default one `squaring_ladder` by `_compose`. g^order is the
+        product of its squares at the set bits of order, which `is_identity`
+        tests with no product; x then moves through the squares at the set
+        bits of e, popcount(e) moves, and g^e itself is never formed.
         """
-        squares = [g]
-        for _ in range(order.bit_length() - 1):
-            squares.append(self._compose(squares[-1], squares[-1]))
-        at_bits = [sq for bit, sq in enumerate(squares) if order >> bit & 1]
-        if not self.is_identity(functools.reduce(self._compose, at_bits)):
+        squares = squaring_ladder(g, order, self._compose)
+        if not self.is_identity(functools.reduce(self._compose, at_bits(squares, order))):
             return None
 
         def image(e: int, x):
-            for bit, sq in enumerate(squares):
-                if e >> bit & 1:
-                    x = self.move(sq, x)
+            for sq in at_bits(squares, e):
+                x = self.move(sq, x)
             return x
 
         return image
@@ -894,7 +887,8 @@ class DiagonalGroupData:
     of s·g_i, the `mul` row of s·g is left_s read through the row of g, as
     s·g·g_j = s·(g·g_j); the `aut` row of e·a is the index of g_i
     conjugated by a, read through the row of e. `inv` is where each `mul`
-    row holds the identity, index 0 of the target.
+    row holds the identity, index 0 of the target. `phi_of` maps ambient
+    image tuples to phi, so no ambient product builds a `Permutation`.
 
     `flat` holds the tables as flat int64 arrays, entry (i, j) of an n-wide
     table at i * n + j, and `views` holds zero-copy memoryviews of them,
@@ -913,9 +907,10 @@ class DiagonalGroupData:
         self.mul = _closed_rows(n, n, 0, [(left, left) for left in lefts])
         self.inv = self.mul.argmin(axis=1)
         ambient = automorphisms.ambient
+        self.phi_of = {a.images: phi for phi, a in enumerate(ambient.elements)}
         self.identity_phi = self.phi_index_of(identity)
         self.aut = _closed_rows(ambient.order, n, self.identity_phi, [
-            ([ambient.index(e * a) for e in ambient.elements],
+            ([self.phi_of[tuple([a.images[v] for v in e.images])] for e in ambient.elements],
              np.array([index(g.conj(a)) for g in elements]))
             for a in ambient.generators
         ])
@@ -1076,11 +1071,9 @@ class DiagonalAction(TupleAction):
         r = [mul[aut[twist + mg[hinv[i]]] * n + mh[i]] for i in range(self.copies + 1)]
         head = inv[r[0]] * n
         m = tuple(mul[head + v] for v in r[1:])
-        ambient = self.data.automorphisms.ambient
-        rep_h = ambient.elements[h.phi].images
-        r0 = self.data.group.elements[r[0]].images
-        product = tuple(r0[rep_h[v]] for v in ambient.elements[g.phi].images)
-        phi = ambient.index(Permutation._raw(product))
+        reps = self.data.automorphisms.ambient.elements
+        rep_h, r0 = reps[h.phi].images, self.data.group.elements[r[0]].images
+        phi = self.data.phi_of[tuple([r0[rep_h[v]] for v in reps[g.phi].images])]
         return DiagonalElement(g.sigma * h.sigma, phi, m)
 
     def is_identity(self, g: DiagonalElement) -> bool:

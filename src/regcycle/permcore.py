@@ -29,7 +29,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -38,24 +38,28 @@ SIEVE_LIMIT = 1_000_000
 
 
 def power(x, e: int, one, mul=operator.mul):
-    """x to the e-th power, e >= 0, by right-to-left binary square and
-    multiply (Knuth, TAOCP Vol. 2, section 4.6.3).
-
-    `one` is the identity and `mul(a, b)` the product "a, then b". Any
-    other start value s gives s, then x^e. The squaring after the last bit
-    is skipped, so the cost is bit_length(e) - 1 squarings and popcount(e)
-    multiplications.
-    """
+    """x to the e-th power, e >= 0, by binary square and multiply (Knuth,
+    TAOCP Vol. 2, section 4.6.3): `one` (the identity, or a start value),
+    then the squares of x at the set bits of e, by `mul(a, b)`, "a, then b":
+    bit_length(e) - 1 squarings and popcount(e) multiplications."""
     if e < 0:
         raise ValueError("exponent must be nonnegative")
-    result = one
-    while e:
-        if e & 1:
-            result = mul(result, x)
-        e >>= 1
-        if e:
-            x = mul(x, x)
-    return result
+    return reduce(mul, at_bits(squaring_ladder(x, e, mul), e), one)
+
+
+def squaring_ladder(x, e: int, mul=operator.mul) -> list:
+    """[x, x^2, x^4, ...] up to the top bit of e, by bit_length(e) - 1
+    squarings. x^f, 0 < f < 2^bit_length(e), is the product of
+    `at_bits(ladder, f)` in any order, as powers of x commute."""
+    ladder = [x]
+    for _ in range(e.bit_length() - 1):
+        ladder.append(mul(ladder[-1], ladder[-1]))
+    return ladder
+
+
+def at_bits(ladder: list, f: int) -> list:
+    """The squares of a `squaring_ladder` at the set bits of f."""
+    return [sq for bit, sq in enumerate(ladder) if f >> bit & 1]
 
 
 class Permutation:

@@ -43,7 +43,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 from itertools import product as iter_product
 from typing import Iterator, Optional, Sequence
@@ -62,19 +62,20 @@ from .actions import (
     WreathElement,
     fixed_count,
     orbit_lengths,
-    power_images,
 )
 from .gfalgebra import AffineMap, Matrix, matrix_rank
 from .groups import GeneratedGroup, all_permutations
 from .permcore import (
     CycleType,
     Permutation,
+    at_bits,
     cycle_types,
     factorize,
     nk_threshold,
     orbit_labels,
     orbit_length_array,
     power,
+    squaring_ladder,
 )
 
 METHODS = (
@@ -200,17 +201,36 @@ def certify_regular(action: Action, g, pt, order: int):
     return action.external(x)
 
 
+_last_record: list = [(None, None, 0, None)]
+
+
+def _record(action: Action, g, images: bool = True):
+    """(order, images) of g for both deciders: images is a read-only int64
+    array, or None until asked for. `_last_record` holds the last pair, by
+    identity as in `Permutation._last_walk`; a new pair empties it first."""
+    last_action, last_g, order, array = _last_record[0]
+    if last_action is not action or last_g is not g:
+        _last_record[0] = (None, None, 0, None)
+        order, array = action.element_order(g), None
+    if images and array is None:
+        array = np.asarray(action.induced_images(g), dtype=np.int64).view()
+        array.flags.writeable = False
+    _last_record[0] = (action, g, order, array)
+    return order, array
+
+
 def decide_bruteforce(action: Action, g) -> Verdict:
     """Read the orbit length of every point; report the first regular one.
 
     The witness, when present, is the smallest-index point (in the action's
-    point order) whose orbit is regular. Always certified.
+    point order) whose orbit is regular. Always certified. The order and
+    images are the `_record` that `decide_fix_union` shares.
     """
-    order = action.element_order(g)
+    order, images = _record(action, g)
     # The size of each orbit, at its least point and nowhere else. So the
     # least point with size `order` is the least point on a regular orbit.
     # Every orbit length divides the order, which bounds the doubling rounds.
-    sizes = np.bincount(orbit_labels(action.induced_images(g), order), minlength=action.size)
+    sizes = np.bincount(orbit_labels(images, order), minlength=action.size)
     induced = math.lcm(*set(sizes[sizes > 0].tolist()))
     regular = (sizes == order).nonzero()[0]
     witness_idx = int(regular[0]) if regular.size else None
@@ -221,44 +241,47 @@ def decide_bruteforce(action: Action, g) -> Verdict:
     )
 
 
+def _fixed_union(images: np.ndarray, order: int) -> tuple[np.ndarray, int]:
+    """The points that some g^(order/p), p prime, fixes, and the induced
+    order, of the g of order > 1 with these images, every power read off
+    one squaring ladder. Each p is divided out of the induced order while
+    g^(induced/p) fixes every point, which no smaller power does when
+    g^(order/p) moves a point.
+    """
+    ladder = squaring_ladder(images, order // 2, np.ndarray.take)
+    idx = np.arange(len(images))
+
+    def fixed(e: int) -> np.ndarray:
+        return reduce(np.ndarray.take, at_bits(ladder, e)) == idx
+
+    covered, induced = np.zeros(len(images), dtype=bool), order
+    for p in factorize(order).primes:
+        fixed_p = fixed(order // p)
+        covered |= fixed_p
+        if fixed_p.all():
+            induced //= p
+            while induced % p == 0 and fixed(induced // p).all():
+                induced //= p
+    return covered, induced
+
+
 def decide_fix_union(action: Action, g) -> Verdict:
     """Decide via the union of fixed-point sets of prime-index powers.
 
     A point lies on a regular cycle iff it is fixed by no power g^(|g|/p)
     with p prime dividing |g|. The first uncovered point (in action point
-    order) is a certified witness. Identity elements are trivially regular
-    on every point.
-
-    No orbit of the action is walked. The induced order is |g| reduced
-    prime by prime: when g^(|g|/p) fixes every point, p is divided out
-    while g^(induced/p) still fixes every point. A g^(|g|/p) that moves a
-    point leaves p alone, since then no smaller power g^(induced/p) fixes
-    every point either.
+    order) is a witness, which `certify_regular` proves from g itself.
+    The identity is regular on every point and builds no images. No orbit
+    is walked: `_fixed_union` reads the `_record` `decide_bruteforce` shares.
     """
-    order = action.element_order(g)
+    order = _record(action, g, images=False)[0]
     if order == 1:
-        return _verdict(
-            action, g, "fix_union", 1, 1, True, action.point_json(0), ("identity",)
-        )
-    images = np.asarray(action.induced_images(g), dtype=np.int64)
-    n = action.size
-    covered = np.zeros(n, dtype=bool)
-    idx = np.arange(n, dtype=np.int64)
-    induced = order
-    for p in factorize(order).primes:
-        fixed = power_images(images, order // p) == idx
-        covered |= fixed
-        if fixed.all():
-            induced //= p
-            while induced % p == 0 and (power_images(images, induced // p) == idx).all():
-                induced //= p
-    flags: tuple[str, ...] = ()
-    if induced < order:
-        flags = ("unfaithful",)
-    uncovered = np.flatnonzero(~covered)
-    if uncovered.size == 0:
+        return _verdict(action, g, "fix_union", 1, 1, True, action.point_json(0), ("identity",))
+    covered, induced = _fixed_union(_record(action, g)[1], order)
+    flags = ("unfaithful",) if induced < order else ()
+    if covered.all():
         return _verdict(action, g, "fix_union", order, induced, False, None, flags)
-    witness_idx = int(uncovered[0])
+    witness_idx = int(covered.argmin())
     certify_regular(action, g, action.point(witness_idx), order)
     witness = action.point_json(witness_idx)
     return _verdict(action, g, "fix_union", order, induced, True, witness, flags)

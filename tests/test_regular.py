@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regcycle import regular
 from regcycle.actions import (
     AffineVectorsAction,
     CosetsAction,
@@ -33,6 +35,7 @@ from regcycle.actions import (
     VectorsAction,
     WreathElement,
     orbit_lengths,
+    power_images,
 )
 from regcycle.gfalgebra import AffineMap, Matrix, field_ops
 from regcycle.groups import (
@@ -47,6 +50,7 @@ from regcycle.permcore import (
     CycleType,
     Permutation,
     cycle_types,
+    factorize,
     first_primes,
     nk_threshold,
     orbit_partition,
@@ -360,6 +364,150 @@ class TestDecideFixUnion:
             decide_fix_union(a, g).has_regular_cycle
             == decide_fix_union(a, g.conj(c)).has_regular_cycle
         )
+
+
+class TestSharedRecord:
+    """Both deciders read one (order, images) record per (action, g)."""
+
+    @staticmethod
+    def pair(kind, alt5_diagonal):
+        if kind == "diagonal":
+            return DiagonalAction(alt5_diagonal, 2), DiagonalElement(
+                Permutation((1, 2, 0)), 7, (5, 17)
+            )
+        return KSetsAction(9, 3), parse_cycles("(1 2 3 4)(5 6 7)(8 9)", 9)
+
+    @staticmethod
+    def count_calls(monkeypatch, cls):
+        calls = {"element_order": [], "induced_images": []}
+        for name, log in calls.items():
+            real = getattr(cls, name)
+
+            def counted(self, g, real=real, log=log):
+                log.append(g)
+                return real(self, g)
+
+            monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("first", ["bruteforce", "fix_union"])
+    @pytest.mark.parametrize("kind", ["diagonal", "ksets"])
+    def test_one_order_and_one_build_per_pair(self, alt5_diagonal, monkeypatch, kind, first):
+        act, g = self.pair(kind, alt5_diagonal)
+        expected = (decide_bruteforce(act, g), decide_fix_union(act, g))
+        act, g = self.pair(kind, alt5_diagonal)
+        calls = self.count_calls(monkeypatch, type(act))
+        deciders = [decide_bruteforce, decide_fix_union]
+        if first == "fix_union":
+            deciders.reverse()
+        verdicts = {d.__name__: d(act, g) for d in deciders}
+        assert calls == {"element_order": [g], "induced_images": [g]}
+        assert (verdicts["decide_bruteforce"], verdicts["decide_fix_union"]) == expected
+
+    def test_identity_reads_no_images(self, monkeypatch):
+        act, e = KSetsAction(9, 3), Permutation.identity(9)
+        calls = self.count_calls(monkeypatch, KSetsAction)
+        assert decide_fix_union(act, e).flags == ("identity",)
+        assert calls == {"element_order": [e], "induced_images": []}
+        assert decide_bruteforce(act, e).witness == (1, 2, 3)
+        assert calls == {"element_order": [e], "induced_images": [e]}
+
+    def test_another_pair_between_the_deciders(self, alt5_diagonal):
+        act, g = self.pair("ksets", alt5_diagonal)
+        other, h = self.pair("diagonal", alt5_diagonal)
+        alone = (decide_bruteforce(act, g), decide_fix_union(act, g))
+        act, g = self.pair("ksets", alt5_diagonal)
+        bf = decide_bruteforce(act, g)
+        decide_bruteforce(other, h)
+        decide_fix_union(KSetsAction(9, 3), g)
+        assert (bf, decide_fix_union(act, g)) == alone
+
+    def test_equal_element_that_is_another_object(self, monkeypatch):
+        natural, pairs = NaturalAction(6), KSetsAction(6, 2)
+        g = parse_cycles("(1 2)(3 4 5 6)", 6)
+        twin = Permutation(g.images)
+        assert twin == g and twin is not g
+        expected = decide_fix_union(pairs, parse_cycles("(1 2)(3 4 5 6)", 6))
+        calls = self.count_calls(monkeypatch, NaturalAction)
+        assert decide_bruteforce(natural, g).witness == 3
+        assert decide_fix_union(natural, twin).witness == 3
+        assert calls["induced_images"] == [g, twin]
+        assert decide_fix_union(pairs, twin) == expected
+
+    def test_images_are_read_only(self, monkeypatch):
+        act, g = NaturalAction(6), parse_cycles("(1 2 3)(4 5)", 6)
+        built = np.array([1, 2, 0, 4, 3, 5])
+        monkeypatch.setattr(NaturalAction, "induced_images", lambda self, elem: built)
+        order, images = regular._record(act, g)
+        assert order == 6 and images.dtype == np.int64
+        assert images.tolist() == built.tolist()
+        assert not images.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            images[0] = 0
+        # The record is a read-only view: the array the action built is untouched.
+        assert built.flags.writeable
+
+    def test_slot_holds_one_pair(self, monkeypatch):
+        first, g = KSetsAction(9, 3), parse_cycles("(1 2 3 4)(5 6 7)(8 9)", 9)
+        second, h = KSetsAction(9, 2), parse_cycles("(1 2 3 4 5)", 9)
+        decide_bruteforce(first, g)
+        assert len(regular._last_record) == 1
+        assert regular._last_record[0][:2] == (first, g)
+        held = weakref.ref(regular._last_record[0][3])
+        build = KSetsAction.induced_images
+        seen = []
+
+        def checked(self, elem):
+            # The previous pair's array is gone before the next one is built.
+            seen.append((held(), regular._last_record[0]))
+            return build(self, elem)
+
+        monkeypatch.setattr(KSetsAction, "induced_images", checked)
+        decide_bruteforce(second, h)
+        assert seen == [(None, (None, None, 0, None))]
+        assert held() is None
+        assert len(regular._last_record) == 1
+        assert regular._last_record[0][:2] == (second, h)
+
+    def test_poisoned_record_fails_the_certificate(self, monkeypatch):
+        # The planted images put point 1 on a 4-cycle, but g moves 1 on a
+        # 2-cycle: the witness fix_union reads off them is not regular.
+        act, g = NaturalAction(6), parse_cycles("(1 2)(3 4 5 6)", 6)
+        wrong = np.array([1, 2, 3, 0, 4, 5])
+        monkeypatch.setattr(regular, "_last_record", [(act, g, 4, wrong)])
+        with pytest.raises(AssertionError, match="fixes the point 1"):
+            decide_fix_union(act, g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=300).flatmap(lambda n: st.permutations(range(n))),
+        st.sampled_from([1, 2, 3, 4, 5, 6, 12]),
+    )
+    def test_ladder_matches_power_images(self, perm, unfaithful):
+        # One ladder against a square-and-multiply per power, and both
+        # against orbit lengths walked apart: a point is covered iff its
+        # orbit is shorter than the order, and the induced order is their
+        # lcm. The factor `unfaithful` raises the element's order past it.
+        images = np.array(perm, dtype=np.int64)
+        lengths = {x: len(orbit) for orbit in orbit_partition(perm) for x in orbit}
+        induced = math.lcm(*lengths.values())
+        order = induced * unfaithful
+        if order == 1:
+            return
+        covered, got_induced = regular._fixed_union(images, order)
+        idx = np.arange(len(perm))
+        reference = np.zeros(len(perm), dtype=bool)
+        ref_induced = order
+        for p in factorize(order).primes:
+            fixed = np.asarray(power_images(images, order // p)) == idx
+            reference |= fixed
+            while ref_induced % p == 0 and (
+                np.asarray(power_images(images, ref_induced // p)) == idx
+            ).all():
+                ref_induced //= p
+        assert covered.tolist() == reference.tolist()
+        assert covered.tolist() == [lengths[x] != order for x in range(len(perm))]
+        assert got_induced == ref_induced == induced
 
 
 class TestCertifyRegular:
@@ -1225,6 +1373,31 @@ class TestChecksUnderOptimize:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "ok\n"
+
+    def test_poisoned_record_raises_under_python_O(self):
+        # Wrong images planted in the deciders' record for (action, g): the
+        # fix_union witness read off them fails the certificate, which
+        # raises with no `assert` statement.
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from regcycle import regular\n"
+            "from regcycle.actions import NaturalAction\n"
+            "from regcycle.permcore import parse_cycles\n"
+            "if sys.flags.optimize < 1:\n"
+            "    sys.exit('not running under -O')\n"
+            "act, g = NaturalAction(6), parse_cycles('(1 2)(3 4 5 6)', 6)\n"
+            "regular._last_record[0] = (act, g, 4, np.array([1, 2, 3, 0, 4, 5]))\n"
+            "try:\n"
+            "    regular.decide_fix_union(act, g)\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "g^(4/2) fixes the point 1\n"
 
 
 # ---------------------------------------------------------------------------
